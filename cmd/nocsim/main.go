@@ -84,7 +84,6 @@ func main() {
 	anat.Apply(&cfg.Obs)
 	lobs.ApplyConfig(&cfg)
 	rcache.ApplyConfig(&cfg)
-	rcache.Warn(cfg.Algorithm)
 
 	p, err := traffic.ByName(*pattern, cfg.Mesh())
 	if err != nil {

@@ -48,10 +48,10 @@ type Engine struct {
 	// per-phase time/allocation breakdown plus GC pause and heap-growth
 	// accounting. Absent in reports written before the profiler existed.
 	Profile *obs.PerfProfile `json:"profile,omitempty"`
-	// RouteCache is the route-decision cache account of the reference
-	// run: hit/miss/eviction/draw-replay counters. Absent in reports
-	// written before the cache existed or when it is disabled. Gates
-	// treat these fields as informational, never pass/fail.
+	// RouteCache is the route memo account of the reference run: its
+	// hit and miss counters. Absent in reports written before the memo
+	// existed or when it is disabled. Gates treat these fields as
+	// informational, never pass/fail.
 	RouteCache *routing.CacheStats `json:"route_cache,omitempty"`
 }
 

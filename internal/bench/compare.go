@@ -110,21 +110,18 @@ func Compare(oldR, newR *Report, tol Tolerances) *Comparison {
 	add("engine heap allocs", float64(oldR.Engine.HeapAllocs), float64(newR.Engine.HeapAllocs), tol.Allocs, false, false)
 	add("engine heap bytes", float64(oldR.Engine.HeapAllocBytes), float64(newR.Engine.HeapAllocBytes), tol.Bytes, false, false)
 
-	// Route-decision cache counters: informational only. Hit rates
-	// describe workload congruence, not a gated capacity, and reports
-	// written before the cache existed have no old value to diff.
+	// Route memo hit rate: informational only. It describes how often
+	// decisions repeat, not a gated capacity, and reports written before
+	// the memo existed have no old value to diff.
 	if oc, nc := oldR.Engine.RouteCache, newR.Engine.RouteCache; oc != nil || nc != nil {
-		var oldRate, newRate, oldReplay, newReplay float64
+		var oldRate, newRate float64
 		if oc != nil {
 			oldRate = oc.HitRate()
-			oldReplay = float64(oc.DrawReplays)
 		}
 		if nc != nil {
 			newRate = nc.HitRate()
-			newReplay = float64(nc.DrawReplays)
 		}
 		add("engine route-cache hit rate", oldRate, newRate, 0, true, true)
-		add("engine route-cache draw replays", oldReplay, newReplay, 0, false, true)
 	}
 
 	// Parallel sweep: determinism is non-negotiable; speedup is context.

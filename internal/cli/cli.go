@@ -17,7 +17,6 @@ import (
 
 	"nocsim/internal/exp"
 	"nocsim/internal/obs"
-	"nocsim/internal/routing"
 	"nocsim/internal/sim"
 )
 
@@ -128,10 +127,11 @@ func (o *Obs) ApplyConfig(cfg *sim.Config) {
 	}
 }
 
-// RouteCache is the shared -routecache flag: the route-decision cache
-// is on by default and "-routecache=off" is the escape hatch. Results
-// are bit-identical either way — the cache replays recorded decisions
-// and RNG draws exactly — so the flag only trades speed.
+// RouteCache is the shared -routecache flag: the route memo is on by
+// default and "-routecache=off" is the escape hatch. Results are
+// bit-identical either way — the memo serves only decisions that read
+// nothing but the destination offset and draw no randomness — so the
+// flag only trades speed.
 type RouteCache struct {
 	Mode string
 
@@ -142,7 +142,7 @@ type RouteCache struct {
 func NewRouteCache(tool string) *RouteCache {
 	rc := &RouteCache{tool: tool}
 	flag.StringVar(&rc.Mode, "routecache", "on",
-		"route-decision cache: on or off; results are bit-identical either way, off is only slower")
+		"route memo: on or off; results are bit-identical either way, off is only slower")
 	return rc
 }
 
@@ -166,24 +166,6 @@ func (rc *RouteCache) ApplyProfile(p *exp.Profile) { p.NoRouteCache = rc.Off() }
 
 // ApplyConfig copies the flag onto a single simulation config.
 func (rc *RouteCache) ApplyConfig(cfg *sim.Config) { cfg.NoRouteCache = rc.Off() }
-
-// Warn prints a one-line notice when the cache is requested but the
-// named algorithm opted out of fingerprinting, so a run that silently
-// takes the uncached path is visible. Unknown names are left for the
-// command's own validation to report.
-func (rc *RouteCache) Warn(algorithm string) {
-	if rc.Off() || algorithm == "" {
-		return
-	}
-	alg, err := routing.New(algorithm)
-	if err != nil {
-		return
-	}
-	if !routing.Cacheable(alg) {
-		fmt.Fprintf(os.Stderr, "%s: -routecache is on but algorithm %q does not publish a cache fingerprint; routes are computed uncached\n",
-			rc.tool, algorithm)
-	}
-}
 
 // RunExport is the per-run collector flag set of the experiment
 // harnesses: each simulation of a sweep gets its own counter/heatmap

@@ -48,7 +48,7 @@ type Profile struct {
 	// experiment (see sim.Config.StepAll) — the debug mode the
 	// determinism gate diffs against.
 	StepAll bool
-	// NoRouteCache disables the route-decision cache in every run of the
+	// NoRouteCache disables the route memo in every run of the
 	// experiment (see sim.Config.NoRouteCache) — the escape hatch the
 	// route-cache gate diffs against.
 	NoRouteCache bool

@@ -36,10 +36,11 @@ type Config struct {
 	// mode — results must be bit-identical either way (the determinism
 	// gate compares the two), it only costs time.
 	StepAll bool
-	// NoRouteCache disables the shared route-decision cache (on by
-	// default for algorithms that implement routing.Fingerprinter). An
-	// escape hatch — results must be bit-identical either way (the
-	// route-cache gate compares the two), caching only saves time.
+	// NoRouteCache disables the shared route memo (on by default; it
+	// serves algorithms that implement routing.Fingerprinter and counts
+	// every other algorithm's Route calls). An escape hatch — results
+	// must be bit-identical either way (the route-cache gate compares
+	// the two).
 	NoRouteCache bool
 }
 
@@ -58,7 +59,7 @@ type Network struct {
 	endpoints []*router.Endpoint
 	links     []chanLink
 	arena     *flit.Arena
-	cache     *routing.Cache // shared route-decision cache, nil when off
+	cache     *routing.Cache // shared route memo, nil when off
 	now       int64
 	inFlight  int
 
@@ -114,12 +115,11 @@ func (p Phase) String() string {
 }
 
 // PhaseProbe observes sampled cycles of the loop. BeginCycle is called
-// at the top of every Step; returning false keeps the cycle on the
-// uninstrumented fast path. Within an instrumented cycle, BeginPhase
-// marks each phase entry (the probe attributes the span since the
-// previous mark to the previous phase) and EndCycle closes the last
-// span. A phase may begin more than once per cycle (inject-eject does);
-// probes accumulate.
+// at the top of every Step; returning false leaves the cycle unmarked.
+// Within an instrumented cycle, BeginPhase marks each phase entry (the
+// probe attributes the span since the previous mark to the previous
+// phase) and EndCycle closes the last span. A phase may begin more than
+// once per cycle (inject-eject does); probes accumulate.
 type PhaseProbe interface {
 	BeginCycle(now int64) bool
 	BeginPhase(p Phase)
@@ -136,14 +136,11 @@ func New(cfg Config) *Network {
 	n.activeMark = make([]bool, nodes)
 	n.activeNodes = make([]int, 0, nodes)
 
-	// One route-decision cache serves the whole fabric: routers step
-	// sequentially within a cycle, and congruent states recur across
-	// routers as well as across blocked cycles. NewCache leaves the
-	// cache disabled when the algorithm did not opt into fingerprinting.
+	// One route memo serves the whole fabric: routers step sequentially
+	// within a cycle, and a DOR decision at one offset recurs across
+	// routers, packets and blocked cycles.
 	if !cfg.NoRouteCache {
-		if c := routing.NewCache(cfg.NewAlg()); c.Enabled() {
-			n.cache = c
-		}
+		n.cache = routing.NewCache(cfg.NewAlg(), cfg.Mesh)
 	}
 	for id := 0; id < nodes; id++ {
 		n.routers[id] = router.New(router.Config{
@@ -235,9 +232,8 @@ func (n *Network) Offer(p *flit.Packet) {
 // reads its live/free/high-water accounting.
 func (n *Network) Arena() *flit.Arena { return n.arena }
 
-// RouteCacheStats returns a snapshot of the shared route-decision
-// cache's counters, or nil when caching is off (disabled by config or
-// by an algorithm without fingerprinting).
+// RouteCacheStats returns a snapshot of the shared route memo's
+// counters, or nil when the memo is off.
 func (n *Network) RouteCacheStats() *routing.CacheStats {
 	if n.cache == nil {
 		return nil
@@ -284,75 +280,60 @@ func (n *Network) computeActive() {
 // Phases are globally ordered so results are independent of router
 // iteration order: all receives, then all routing+VC allocation, then
 // all switch traversal and endpoint activity, then all links tick.
+//
+// On a cycle the Probe elects to sample, each phase entry is marked for
+// it. The fabric work and its ordering are identical either way — the
+// probe only reads clocks and allocation counters between phases, so
+// sampling can never change simulated results.
 func (n *Network) Step() {
-	if n.Probe != nil && n.Probe.BeginCycle(n.now) {
-		n.stepProbed()
-		return
-	}
+	p := n.Probe
+	probed := p != nil && p.BeginCycle(n.now)
 	n.computeActive()
+	if probed {
+		p.BeginPhase(PhaseInjectEject)
+	}
 	for _, id := range n.activeNodes {
 		n.endpoints[id].Receive()
+	}
+	if probed {
+		p.BeginPhase(PhaseRouteCompute)
 	}
 	for _, id := range n.activeNodes {
 		r := n.routers[id]
 		r.SyncClock(n.now)
 		r.Receive()
 	}
+	if probed {
+		p.BeginPhase(PhaseVCAlloc)
+	}
 	for _, id := range n.activeNodes {
 		n.routers[id].AllocateVCs()
 	}
+	if probed {
+		p.BeginPhase(PhaseSwitchAlloc)
+	}
 	for _, id := range n.activeNodes {
 		n.routers[id].SwitchAndTraverse()
+	}
+	if probed {
+		p.BeginPhase(PhaseInjectEject)
 	}
 	for _, id := range n.activeNodes {
 		e := n.endpoints[id]
 		e.Consume(n.now)
 		e.Inject(n.now)
+	}
+	if probed {
+		p.BeginPhase(PhaseLinkTraversal)
 	}
 	// Ticking an idle channel is a no-op, so the link phase is identical
 	// with or without the worklist.
 	for _, l := range n.links {
 		l.ch.Tick()
 	}
-	n.now++
-}
-
-// stepProbed is Step with phase marks for an instrumented cycle. The
-// fabric work and its ordering are identical to the fast path — the
-// probe only reads clocks and allocation counters between phases, so
-// sampling can never change simulated results.
-func (n *Network) stepProbed() {
-	p := n.Probe
-	n.computeActive()
-	p.BeginPhase(PhaseInjectEject)
-	for _, id := range n.activeNodes {
-		n.endpoints[id].Receive()
+	if probed {
+		p.EndCycle()
 	}
-	p.BeginPhase(PhaseRouteCompute)
-	for _, id := range n.activeNodes {
-		r := n.routers[id]
-		r.SyncClock(n.now)
-		r.Receive()
-	}
-	p.BeginPhase(PhaseVCAlloc)
-	for _, id := range n.activeNodes {
-		n.routers[id].AllocateVCs()
-	}
-	p.BeginPhase(PhaseSwitchAlloc)
-	for _, id := range n.activeNodes {
-		n.routers[id].SwitchAndTraverse()
-	}
-	p.BeginPhase(PhaseInjectEject)
-	for _, id := range n.activeNodes {
-		e := n.endpoints[id]
-		e.Consume(n.now)
-		e.Inject(n.now)
-	}
-	p.BeginPhase(PhaseLinkTraversal)
-	for _, l := range n.links {
-		l.ch.Tick()
-	}
-	p.EndCycle()
 	n.now++
 }
 

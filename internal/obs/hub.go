@@ -87,8 +87,8 @@ type RunStatus struct {
 	// Arena is the latest flit/packet arena account of the run's fabric:
 	// live/free/high-water slots and the allocated-vs-reused split.
 	Arena *flit.ArenaStats `json:"arena,omitempty"`
-	// RouteCache is the latest route-decision cache account (nil when the
-	// cache is off or the algorithm opted out of fingerprinting).
+	// RouteCache is the latest route memo account (nil when the memo is
+	// off).
 	RouteCache *routing.CacheStats `json:"route_cache,omitempty"`
 	Stalled    bool                `json:"stalled,omitempty"`
 	Done       bool                `json:"done"`
@@ -156,8 +156,8 @@ type RunUpdate struct {
 	Occupancy *AnatomySample
 	// Arena carries the fabric's flit/packet arena account.
 	Arena *flit.ArenaStats
-	// RouteCache carries the route-decision cache account (nil when the
-	// cache is off).
+	// RouteCache carries the route memo account (nil when the memo is
+	// off).
 	RouteCache *routing.CacheStats
 }
 

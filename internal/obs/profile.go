@@ -79,10 +79,10 @@ type PerfProfile struct {
 	// allocated-vs-reused split. Unlike the host metrics above it is
 	// deterministic — the counters move only on fabric events.
 	Arena *flit.ArenaStats `json:"arena,omitempty"`
-	// RouteCache is the route-decision cache account at run end (filled
-	// by the simulation; nil when the cache is off or the algorithm opted
-	// out). Like Arena it is deterministic — the counters move only on
-	// route computations, never on host state.
+	// RouteCache is the route memo account at run end (filled by the
+	// simulation; nil when the memo is off). Like Arena it is
+	// deterministic — the counters move only on route computations,
+	// never on host state.
 	RouteCache *routing.CacheStats `json:"route_cache,omitempty"`
 }
 

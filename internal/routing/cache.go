@@ -6,115 +6,52 @@ import (
 	"nocsim/internal/topo"
 )
 
-// This file implements the route-decision cache: congruent routing
-// states — same destination offset, same arrival port, same view state
-// on the productive ports — reuse one computed request list instead of
-// re-running the algorithm, across routers, packets and blocked cycles.
+// This file implements the route memo: an algorithm whose decision is a
+// pure function of the destination offset and the arrival port reuses
+// one computed request list for every (offset, InDir) it meets, across
+// routers, packets and blocked cycles. DOR is the one such algorithm.
+// The adaptive algorithms read per-cycle VC idle and ownership state,
+// which almost never repeats, so they always route live; the memo only
+// counts their calls.
 //
-// The cache is provably invisible to simulated results:
-//
-//   - Key completeness. An algorithm opts in by implementing
-//     Fingerprinter, declaring which facets of the view its decision
-//     reads (CacheSpec). The key packs the destination offset, the
-//     arrival port, any position salts the algorithm needs (column
-//     parity for turn models, the destination's XOR class for static VC
-//     maps) and the declared per-productive-port idle/owner/reg-owner
-//     bitmasks plus DownstreamIdle counts. Identical key therefore
-//     implies the algorithm would take identical branches and produce
-//     identical requests. The differential fuzz target cross-checks
-//     cached against uncached decisions over reachable states.
-//
-//   - RNG-exact replay. Adaptive tie-breaks draw from the shared
-//     per-router RNG (selectByCounts), so skipping a computation must
-//     not skip its draw. The first computation runs under a recording
-//     Rand that counts the draws consumed (0 or 1 today). A hit on an
-//     entry that recorded a draw first draws the tie-break bit from the
-//     live stream — keeping stream consumption identical to the
-//     uncached run — and uses the bit to select among the entry's two
-//     variants, computing a missing variant with the drawn bit preset.
-//     Decisions with unsupported draw patterns mark their entry
-//     uncacheable and always compute live.
-//
-//   - Epoch invalidation. Views that expose per-port state epochs
-//     (EpochView; the router's SoA state bumps a port's epoch on every
-//     idle/owner/reg-owner transition) let a blocked packet whose
-//     relevant ports have not changed reuse its previous entry without
-//     even hashing: the per-input-VC CacheSlot memo compares two epoch
-//     words (plus the entry's overwrite generation) instead of building
-//     a key.
-//
-// The storage budget is deliberately hard-bounded so the cache shows up
-// in the perf gate's heap accounting as a fixed couple hundred KB, not
-// a load-dependent leak: entries live inline in a fixed direct-mapped
-// table (one cache line each), stored request lists live in a
-// fixed-capacity arena addressed by (offset, len, cap) references that
-// are reused in place when a colliding insert overwrites an entry, and
-// decisions that cannot claim arena space simply stay uncached.
+// The memo cannot change simulated results. A memoized Route reads
+// nothing but the offset and InDir and never draws from ctx.Rand, so a
+// stored list is exactly what a live call would append, and skipping
+// the call skips no draw. FuzzRouteCacheDifferential checks both halves
+// against live routing.
 type (
-	// CacheSpec declares which facets of the decision's input view an
-	// algorithm's Route reads, so the cache keys on exactly that state.
-	// Implementing Fingerprinter with a spec asserts that Route is a
-	// pure function of (destination offset, arrival port, the declared
-	// facets, and configuration fixed at construction) — instances from
-	// the same constructor must be interchangeable.
-	CacheSpec struct {
-		// Idle keys on each productive port's idle-VC bitmask.
-		Idle bool
-		// Owner keys on each productive port's dest-owned-VC bitmask.
-		Owner bool
-		// RegOwner keys on each productive port's persistent footprint
-		// register bitmask for dest.
-		RegOwner bool
-		// Downstream keys on the one-hop DownstreamIdle counts toward
-		// dest. Downstream state has no local epoch, so it also disables
-		// the per-slot epoch memo.
-		Downstream bool
-		// ColumnParity keys on the current router's column parity —
-		// turn models (odd-even) permit different turns at odd and even
-		// columns, which a pure offset key cannot see.
-		ColumnParity bool
-		// DestClass keys on the destination's folded XOR coordinate
-		// class — static VC maps (XORDET) depend on absolute
-		// destination coordinates, not offsets.
-		DestClass bool
-	}
+	// CacheSpec is the memo key an algorithm declares. It has no fields:
+	// the only key the memo supports is (destination offset, InDir).
+	CacheSpec struct{}
 
-	// Fingerprinter is the opt-in interface for cacheable algorithms.
-	// Returning ok=false opts out dynamically (overlays whose base
-	// algorithm is not fingerprintable do this).
+	// Fingerprinter is the opt-in interface for memoizable algorithms.
+	// Returning ok=true asserts that Route is a pure function of the
+	// destination offset (Dest−Cur), InDir and configuration fixed at
+	// construction, and never draws from ctx.Rand. Returning ok=false
+	// opts out dynamically.
 	Fingerprinter interface {
 		CacheSpec() (CacheSpec, bool)
 	}
-
-	// EpochView is an optional View extension exposing a per-output-port
-	// state epoch: any change to the port's idle, owner or footprint
-	// register state bumps the epoch. The cache's slot memo compares
-	// epochs to serve blocked re-routes without hashing.
-	EpochView interface {
-		PortEpoch(d topo.Direction) uint32
-	}
 )
 
-// CacheStats counts the cache's traffic. All counters are deterministic:
+// CacheStats counts the memo's traffic. All counters are deterministic:
 // they are a pure function of the simulated schedule.
 type CacheStats struct {
-	// Hits counts decisions served from a cached entry (MemoHits of
-	// them via the epoch memo, without hashing).
-	Hits     int64 `json:"hits"`
-	MemoHits int64 `json:"memo_hits"`
-	// Misses counts decisions computed by running the algorithm,
-	// including bypassed decisions and congruent states whose entry is
-	// marked uncacheable.
-	Misses int64 `json:"misses"`
-	// Evictions counts entries overwritten by colliding inserts in the
-	// direct-mapped table.
-	Evictions int64 `json:"evictions"`
-	// DrawReplays counts hits that re-drew a recorded tie-break bit
-	// from the live RNG stream to keep it bit-identical.
-	DrawReplays int64 `json:"draw_replays"`
+	// Hits counts decisions served from the memo.
+	Hits int64 `json:"hits"`
+	// MemoHits, Evictions and DrawReplays are always zero: the memo has
+	// no second-level memo, never evicts and never replays a draw. They
+	// stay so the struct keeps its shape for code that reads it.
+	MemoHits int64 `json:"memo_hits,omitempty"`
+	// Misses counts live Route calls: every decision of an algorithm
+	// that does not opt in, and the first decision at each (offset,
+	// InDir) of one that does.
+	Misses      int64 `json:"misses"`
+	Evictions   int64 `json:"evictions,omitempty"`
+	DrawReplays int64 `json:"draw_replays,omitempty"`
 }
 
-// HitRate returns the fraction of decisions served from cache.
+// HitRate returns the fraction of decisions served from the memo.
 func (s CacheStats) HitRate() float64 {
 	if s.Hits+s.Misses == 0 {
 		return 0
@@ -124,543 +61,72 @@ func (s CacheStats) HitRate() float64 {
 
 // String formats the stats for status lines and the phase table.
 func (s CacheStats) String() string {
-	return fmt.Sprintf("%.1f%% hit (%d hits, %d memo, %d misses), %d draw-replays, %d evicted",
-		100*s.HitRate(), s.Hits, s.MemoHits, s.Misses, s.DrawReplays, s.Evictions)
+	return fmt.Sprintf("%.1f%% hit (%d hits, %d misses)", 100*s.HitRate(), s.Hits, s.Misses)
 }
 
-// fpKey is a packed route-decision fingerprint. meta holds the scalar
-// inputs (offsets, arrival port, salts, downstream counts); the mask
-// words hold the declared per-productive-port VC bitmasks (x = the
-// productive X port, y = the productive Y port; which direction each is
-// follows from the offset signs in meta, so the positional encoding is
-// unambiguous).
-type fpKey struct {
-	meta       uint64
-	ix, ox, rx uint32
-	iy, oy, ry uint32
-}
-
-// meta bit layout.
-const (
-	metaOffXShift  = 0  // 8 bits, signed X offset
-	metaOffYShift  = 8  // 8 bits, signed Y offset
-	metaInDirShift = 16 // 3 bits
-	metaParityBit  = 19 // 1 bit, current column parity
-	metaClassShift = 20 // 8 bits, dest coordinate XOR class
-	metaDownXShift = 28 // 8 bits, DownstreamIdle toward the X port
-	metaDownYShift = 36 // 8 bits, DownstreamIdle toward the Y port
-)
-
-// arenaRef addresses one stored request list in the cache arena. cap is
-// the span's capacity, which survives entry overwrites so a new decision
-// landing in the same table slot reuses the span in place when it fits.
-type arenaRef struct {
-	off uint32
-	n   uint16
-	cap uint16
-}
-
-// entry flag bits.
-const (
-	entOccupied = 1 << iota // slot holds a live fingerprint
-	entUncache              // replay unsupported: congruent states compute live
-	entDrew                 // decision consumed one tie-break draw; refVar0/1 hold variants
-	entHasVar0              // variant for drawn bit 0 is stored
-	entHasVar1              // variant for drawn bit 1 is stored
-)
-
-// entry ref-slot roles.
-const (
-	refReqs = iota // draw-free decision
-	refVar0        // decision after drawing tie-break bit 0
-	refVar1        // decision after drawing tie-break bit 1
-)
-
-// entry is one cached decision, sized to a cache line and stored inline
-// in the direct-mapped table. gen counts overwrites of this slot so the
-// epoch memo can tell that a remembered entry still describes the state
-// it memoized. The key is stored for the tag compare.
-type entry struct {
-	key   fpKey
-	flags uint8
-	_     [3]uint8
-	gen   uint32
-	refs  [3]arenaRef
-}
-
-// Table, arena and adaptive-gate sizing. The table is indexed by a mixed
-// hash of the fingerprint; a colliding insert overwrites in place
-// (counted as an eviction) rather than chaining, so lookups are one
-// probe of one cache line. The arena is a fixed budget: decisions that
-// cannot claim space stay uncached. The probe/bypass windows drive the
-// adaptive gate: every probeWindow table decisions the hit rate is
-// evaluated, and below bypassThreshold the table is bypassed for the
-// current backoff length (computing live is cheaper than hashing when
-// congruent states rarely recur — Footprint under congestion); each
-// consecutive failed probe doubles the backoff up to bypassMax. All
-// inputs to the gate are deterministic simulated counts, so runs stay
-// bit-identical.
-const (
-	cacheTableSize  = 1 << 11 // 2048 line-sized entries = 128 KB
-	arenaCap        = 4096    // requests; 96 KB
-	probeWindow     = 2048
-	bypassMin       = 1 << 17
-	bypassMax       = 1 << 22
-	bypassThreshold = 0.7
-)
-
-// CacheSlot is the per-input-VC memo a router embeds next to each
-// requester: the last decision's key identity (destination, arrival
-// port), the entry's overwrite generation, and the state epochs of its
-// productive ports. While the generation and epochs stand still, a
-// blocked packet's re-route replays the remembered entry without
-// touching the fingerprint table. All fields are cache-internal;
-// directions are stored as int8 so a router's slot array (one slot per
-// input VC) stays at 32 bytes per requester.
-type CacheSlot struct {
-	ent    *entry
-	gen    uint32
-	dest   int32
-	epochs [2]uint32
-	inDir  int8
-	nPorts uint8
-	ports  [2]int8
-}
-
-// coord8 is a precomputed mesh coordinate; the lookup table replaces
-// Mesh.Coord's two integer divisions on the hot path.
-type coord8 struct {
-	x, y int16
-}
-
-// Cache is one fabric's shared route-decision cache. Routers of one
-// network step sequentially within a cycle, so no locking is needed;
-// each parallel run owns its own Cache.
+// Cache is one fabric's shared route memo. Routers of one network step
+// sequentially within a cycle, so no locking is needed; each parallel
+// run owns its own Cache.
 type Cache struct {
-	spec    CacheSpec
-	enabled bool
-	// needMasks/needDirs/memoOK precompute which key facets the spec
-	// reads, so scalar-only specs (DOR, XORDET overlays of it) skip the
-	// BitsView assertion and the productive-direction computation
-	// entirely, and Downstream specs skip the epoch memo.
-	needMasks bool
-	needDirs  bool
-	memoOK    bool
-
-	table []entry
-	arena []Request
+	// key[n] is x + y·(2W−1) for node n at (x, y), so key[dest] −
+	// key[cur] + center is the row-major index of their offset in a
+	// (2W−1)×(2H−1) grid.
+	key    []int32
+	center int32
+	// lists[offset*NumPorts+InDir] is the stored decision, nil until
+	// first computed. lists is nil when the algorithm did not opt in.
+	lists [][]Request
 	stats CacheStats
-
-	// coords caches Mesh.Coord for every node of the mesh seen on the
-	// first decision (one cache serves one fabric, so the mesh never
-	// changes; the width check guards test harnesses that reuse one).
-	coords     []coord8
-	coordWidth int
-
-	// Adaptive gate state: winLookups/winHits count the current probe
-	// window's table traffic; bypassLeft > 0 routes live without
-	// touching the table for that many more decisions; bypassLen is the
-	// next backoff length.
-	winLookups int
-	winHits    int
-	bypassLeft int
-	bypassLen  int
-
-	// rec and pre are the reusable RNG interposers: pointing ctx.Rand at
-	// a persistent field instead of a stack value keeps the interposer
-	// from escaping to the heap on every miss.
-	rec recordingRand
-	pre presetRand
 }
 
-// Cacheable reports whether alg opted into fingerprint caching.
-func Cacheable(alg Algorithm) bool {
+// NewCache builds the memo for alg on mesh m. When alg does not opt in
+// through Fingerprinter, the cache routes every decision live and only
+// counts it.
+func NewCache(alg Algorithm, m topo.Mesh) *Cache {
+	c := &Cache{}
 	f, ok := alg.(Fingerprinter)
 	if !ok {
-		return false
+		return c
 	}
-	_, ok = f.CacheSpec()
-	return ok
-}
-
-// NewCache builds a cache for alg's fingerprint spec. The cache is
-// disabled (Enabled returns false, Requests routes directly) when alg
-// did not opt in.
-func NewCache(alg Algorithm) *Cache {
-	c := &Cache{}
-	if f, ok := alg.(Fingerprinter); ok {
-		if spec, ok := f.CacheSpec(); ok {
-			c.spec = spec
-			c.enabled = true
-			c.needMasks = spec.Idle || spec.Owner || spec.RegOwner
-			c.needDirs = c.needMasks || spec.Downstream
-			c.memoOK = !spec.Downstream
-			c.table = make([]entry, cacheTableSize)
-			c.bypassLen = bypassMin
-		}
+	if _, ok := f.CacheSpec(); !ok {
+		return c
 	}
+	span := 2*m.Width - 1
+	c.key = make([]int32, m.Nodes())
+	for n := range c.key {
+		cd := m.Coord(n)
+		c.key[n] = int32(cd.X + cd.Y*span)
+	}
+	c.center = int32(m.Width - 1 + (m.Height-1)*span)
+	c.lists = make([][]Request, span*(2*m.Height-1)*topo.NumPorts)
 	return c
 }
-
-// Enabled reports whether the algorithm opted into caching.
-func (c *Cache) Enabled() bool { return c.enabled }
 
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() CacheStats { return c.stats }
 
-// needsEpochs reports whether the slot memo must track port epochs: a
-// spec reading no local port state (DOR) memoizes on identity alone.
-func (c *Cache) needsEpochs() bool {
-	return c.spec.Idle || c.spec.Owner || c.spec.RegOwner
-}
-
-// Requests returns alg's VC requests for ctx, serving congruent states
-// from cache. It appends to reqs exactly as Route does (the cached list
-// is copied, never aliased) and consumes the live RNG stream exactly as
-// the uncached computation would. slot may be nil (no memo).
-func (c *Cache) Requests(alg Algorithm, ctx *Context, slot *CacheSlot, reqs []Request) []Request {
-	if !c.enabled {
-		return alg.Route(ctx, reqs)
-	}
-
-	// Adaptive gate: when the last probe window showed congruent states
-	// rarely recur, computing live is cheaper than hashing — skip the
-	// table (and the memo, which bypassed workloads never hit) for a
-	// while, then probe again. This is the steady-state path for
-	// low-congruence algorithms, so it stays a branch and a decrement.
-	if c.bypassLeft > 0 {
-		c.bypassLeft--
+// Requests returns alg's VC requests for ctx, appending to reqs exactly
+// as Route does; a memoized list is copied, never aliased. ctx.Mesh must
+// be the mesh the cache was built for.
+func (c *Cache) Requests(alg Algorithm, ctx *Context, reqs []Request) []Request {
+	if c.lists == nil {
 		c.stats.Misses++
 		return alg.Route(ctx, reqs)
 	}
-
-	// Epoch memo: the same packet re-routing while blocked, with no
-	// state change on its productive ports and no overwrite of its
-	// remembered entry, replays without hashing.
-	ev, hasEpochs := ctx.View.(EpochView)
-	if slot != nil && hasEpochs && c.memoOK && slot.ent != nil &&
-		slot.gen == slot.ent.gen && slot.ent.flags&entUncache == 0 &&
-		int(slot.dest) == ctx.Dest && topo.Direction(slot.inDir) == ctx.InDir &&
-		c.slotFresh(slot, ev) {
+	i := c.index(ctx)
+	if l := c.lists[i]; l != nil {
 		c.stats.Hits++
-		c.stats.MemoHits++
-		return c.replay(slot.ent, alg, ctx, reqs)
+		return append(reqs, l...)
 	}
-
-	var bv BitsView
-	if c.needMasks {
-		var ok bool
-		bv, ok = ctx.View.(BitsView)
-		if !ok {
-			// No bitmask access, no fingerprint: route live.
-			c.stats.Misses++
-			return alg.Route(ctx, reqs)
-		}
-	}
-	key, dx, hasX, dy, hasY, ok := c.key(ctx, bv)
-	if !ok {
-		c.stats.Misses++
-		return alg.Route(ctx, reqs)
-	}
-
-	c.winLookups++
-	idx := key.hash() & (cacheTableSize - 1)
-	e := &c.table[idx]
-	if e.flags&entOccupied != 0 && e.key == key {
-		if e.flags&entUncache != 0 {
-			// Known-uncacheable decision shape: compute live every time.
-			c.endWindow()
-			c.stats.Misses++
-			return alg.Route(ctx, reqs)
-		}
-		c.winHits++
-		c.stats.Hits++
-		reqs = c.replay(e, alg, ctx, reqs)
-	} else {
-		if e.flags&entOccupied != 0 {
-			c.stats.Evictions++
-		}
-		e.gen++ // invalidates slot memos remembering the old occupant
-		e.key = key
-		e.flags = entOccupied
-		base := len(reqs)
-		c.rec = recordingRand{live: ctx.Rand}
-		ctx.Rand = &c.rec
-		reqs = alg.Route(ctx, reqs)
-		ctx.Rand = c.rec.live
-		c.stats.Misses++
-		switch {
-		case c.rec.bad:
-			e.flags |= entUncache
-		case c.rec.draws == 0:
-			if !c.storeInto(e, refReqs, reqs[base:]) {
-				e.flags |= entUncache
-			}
-		default:
-			e.flags |= entDrew
-			if c.storeInto(e, refVar0+c.rec.bit, reqs[base:]) {
-				e.flags |= entHasVar0 << c.rec.bit
-			} else {
-				e.flags |= entUncache
-			}
-		}
-	}
-	c.endWindow()
-
-	// Refresh the memo for the next blocked cycle.
-	if slot != nil && hasEpochs && c.memoOK && e.flags&entUncache == 0 {
-		slot.ent = e
-		slot.gen = e.gen
-		slot.dest = int32(ctx.Dest)
-		slot.inDir = int8(ctx.InDir)
-		slot.nPorts = 0
-		if c.needsEpochs() {
-			if hasX {
-				slot.ports[slot.nPorts] = int8(dx)
-				slot.epochs[slot.nPorts] = ev.PortEpoch(dx)
-				slot.nPorts++
-			}
-			if hasY {
-				slot.ports[slot.nPorts] = int8(dy)
-				slot.epochs[slot.nPorts] = ev.PortEpoch(dy)
-				slot.nPorts++
-			}
-		}
-	}
-	return reqs
-}
-
-// slotFresh reports that none of the slot's tracked ports changed state
-// since the memoized decision.
-func (c *Cache) slotFresh(slot *CacheSlot, ev EpochView) bool {
-	for i := uint8(0); i < slot.nPorts; i++ {
-		if ev.PortEpoch(topo.Direction(slot.ports[i])) != slot.epochs[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// key packs the decision fingerprint. ok is false when the offsets
-// exceed the key's 8-bit fields (meshes wider than 127 hops bypass the
-// cache rather than alias). The productive directions fall out of the
-// offset signs, mirroring Mesh.MinimalDirs without its coordinate
-// divisions.
-func (c *Cache) key(ctx *Context, bv BitsView) (k fpKey, dx topo.Direction, hasX bool, dy topo.Direction, hasY bool, ok bool) {
-	if len(c.coords) != ctx.Mesh.Nodes() || c.coordWidth != ctx.Mesh.Width {
-		c.buildCoords(ctx.Mesh)
-	}
-	cc, dc := c.coords[ctx.Cur], c.coords[ctx.Dest]
-	offX, offY := int(dc.x-cc.x), int(dc.y-cc.y)
-	if offX < -127 || offX > 127 || offY < -127 || offY > 127 {
-		return fpKey{}, 0, false, 0, false, false
-	}
-	meta := uint64(uint8(int8(offX)))<<metaOffXShift |
-		uint64(uint8(int8(offY)))<<metaOffYShift |
-		uint64(ctx.InDir)<<metaInDirShift
-	if c.spec.ColumnParity {
-		meta |= uint64(cc.x&1) << metaParityBit
-	}
-	if c.spec.DestClass {
-		meta |= uint64(uint8(dc.x^dc.y)) << metaClassShift
-	}
-	if !c.needDirs {
-		// Scalar-only spec: the fingerprint is complete without the
-		// productive directions (and the slot memo tracks no epochs).
-		k.meta = meta
-		return k, 0, false, 0, false, true
-	}
-	if offX > 0 {
-		dx, hasX = topo.East, true
-	} else if offX < 0 {
-		dx, hasX = topo.West, true
-	}
-	if offY > 0 {
-		dy, hasY = topo.South, true
-	} else if offY < 0 {
-		dy, hasY = topo.North, true
-	}
-	if c.spec.Downstream && hasX && hasY {
-		// DownstreamIdle is at most ports*VCs <= 64, so uint8 holds it.
-		meta |= uint64(uint8(ctx.View.DownstreamIdle(dx, ctx.Dest))) << metaDownXShift
-		meta |= uint64(uint8(ctx.View.DownstreamIdle(dy, ctx.Dest))) << metaDownYShift
-	}
-	k.meta = meta
-	if hasX {
-		if c.spec.Idle {
-			k.ix = bv.IdleBits(dx)
-		}
-		if c.spec.Owner {
-			k.ox = bv.OwnerBits(dx, ctx.Dest)
-		}
-		if c.spec.RegOwner {
-			k.rx = bv.RegOwnerBits(dx, ctx.Dest)
-		}
-	}
-	if hasY {
-		if c.spec.Idle {
-			k.iy = bv.IdleBits(dy)
-		}
-		if c.spec.Owner {
-			k.oy = bv.OwnerBits(dy, ctx.Dest)
-		}
-		if c.spec.RegOwner {
-			k.ry = bv.RegOwnerBits(dy, ctx.Dest)
-		}
-	}
-	return k, dx, hasX, dy, hasY, true
-}
-
-// buildCoords fills the per-node coordinate lookup table for m.
-func (c *Cache) buildCoords(m topo.Mesh) {
-	n := m.Nodes()
-	if cap(c.coords) < n {
-		c.coords = make([]coord8, n)
-	}
-	c.coords = c.coords[:n]
-	for i := 0; i < n; i++ {
-		cd := m.Coord(i)
-		c.coords[i] = coord8{x: int16(cd.X), y: int16(cd.Y)}
-	}
-	c.coordWidth = m.Width
-}
-
-// replay serves a cached entry, consuming the live RNG exactly as the
-// uncached computation would. The entry is not marked uncacheable.
-func (c *Cache) replay(e *entry, alg Algorithm, ctx *Context, reqs []Request) []Request {
-	if e.flags&entDrew == 0 {
-		r := e.refs[refReqs]
-		return append(reqs, c.arena[r.off:r.off+uint32(r.n)]...)
-	}
-	// The original computation consumed one tie-break draw; a congruent
-	// state consumes the same one. Draw it from the live stream first —
-	// bit-identical consumption — then use it to pick the variant.
-	b := ctx.Rand.Intn(2)
-	c.stats.DrawReplays++
-	if e.flags&(entHasVar0<<b) != 0 {
-		r := e.refs[refVar0+b]
-		return append(reqs, c.arena[r.off:r.off+uint32(r.n)]...)
-	}
-	// First time this congruent state drew b: compute the variant with
-	// the already-drawn bit preset.
+	c.stats.Misses++
 	base := len(reqs)
-	c.pre = presetRand{live: ctx.Rand, bit: b}
-	ctx.Rand = &c.pre
 	reqs = alg.Route(ctx, reqs)
-	ctx.Rand = c.pre.live
-	if c.pre.used && !c.pre.bad && c.storeInto(e, refVar0+b, reqs[base:]) {
-		e.flags |= entHasVar0 << b
-	} else {
-		// Either the arena budget is spent, or the congruence contract
-		// was violated (the replayed decision consumed a different draw
-		// pattern — never expected; the differential fuzz target guards
-		// it). Degrade safely: stop caching this shape.
-		e.flags |= entUncache
-	}
+	// make never returns nil, so an empty decision is memoized too.
+	c.lists[i] = append(make([]Request, 0, len(reqs)-base), reqs[base:]...)
 	return reqs
 }
 
-// storeInto copies a computed request list into the entry's ref slot i,
-// reusing the slot's previous arena span in place when the list fits
-// its capacity and claiming fresh arena space otherwise. It returns
-// false when the arena budget is exhausted: the decision then stays
-// uncached rather than growing the heap.
-func (c *Cache) storeInto(e *entry, i int, rs []Request) bool {
-	r := &e.refs[i]
-	if len(rs) == 0 {
-		r.n = 0
-		return true
-	}
-	if len(rs) > int(r.cap) {
-		if len(rs) > arenaCap-len(c.arena) {
-			return false
-		}
-		if c.arena == nil {
-			c.arena = make([]Request, 0, arenaCap)
-		}
-		r.off = uint32(len(c.arena))
-		r.cap = uint16(len(rs))
-		c.arena = c.arena[:len(c.arena)+len(rs)]
-	}
-	r.n = uint16(len(rs))
-	copy(c.arena[r.off:int(r.off)+len(rs)], rs)
-	return true
-}
-
-// endWindow closes a probe window when due: a hit rate below the
-// bypass threshold turns the table off for the current backoff length
-// (the slot memo stays on — it is cheaper than routing) and doubles the
-// backoff; a passing window resets it.
-func (c *Cache) endWindow() {
-	if c.winLookups < probeWindow {
-		return
-	}
-	if float64(c.winHits) < bypassThreshold*float64(c.winLookups) {
-		c.bypassLeft = c.bypassLen
-		if c.bypassLen < bypassMax {
-			c.bypassLen *= 2
-		}
-	} else {
-		c.bypassLen = bypassMin
-	}
-	c.winLookups, c.winHits = 0, 0
-}
-
-// hash mixes the fingerprint into a table index. The constants are the
-// splitmix64 increments; the multiply-xor rounds spread every key word
-// across the low bits.
-func (k *fpKey) hash() uint64 {
-	h := k.meta
-	h ^= uint64(k.ix) | uint64(k.ox)<<32
-	h *= 0x9e3779b97f4a7c15
-	h ^= h >> 29
-	h ^= uint64(k.rx) | uint64(k.iy)<<32
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 32
-	h ^= uint64(k.oy) | uint64(k.ry)<<32
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
-}
-
-// recordingRand counts the tie-break draws a computation consumes while
-// passing them through to the live stream. bad marks draw patterns the
-// replay protocol does not support (more than one draw, or a draw with
-// n != 2).
-type recordingRand struct {
-	live  Rand
-	draws int
-	bit   int
-	bad   bool
-}
-
-// Intn implements Rand.
-func (r *recordingRand) Intn(n int) int {
-	v := r.live.Intn(n)
-	r.draws++
-	if n != 2 || r.draws > 1 {
-		r.bad = true
-	} else {
-		r.bit = v
-	}
-	return v
-}
-
-// presetRand serves one already-drawn tie-break bit, falling through to
-// the live stream (and flagging the violation) on any further draw.
-type presetRand struct {
-	live Rand
-	bit  int
-	used bool
-	bad  bool
-}
-
-// Intn implements Rand.
-func (p *presetRand) Intn(n int) int {
-	if !p.used && n == 2 {
-		p.used = true
-		return p.bit
-	}
-	p.bad = true
-	return p.live.Intn(n)
+// index returns ctx's memo slot: its (offset, InDir) in row-major order.
+func (c *Cache) index(ctx *Context) int {
+	return int(c.key[ctx.Dest]-c.key[ctx.Cur]+c.center)*topo.NumPorts + int(ctx.InDir)
 }

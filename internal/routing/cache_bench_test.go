@@ -7,51 +7,16 @@ import (
 	"nocsim/internal/topo"
 )
 
-// Micro-benchmarks for the route-decision cache's three service paths —
-// epoch memo, table hit, and miss (insert) — against the uncached Route
-// baseline of the same algorithm. The root package's
-// BenchmarkRouteCache* pair measures the same trade end to end inside a
-// full simulation; these isolate the per-decision costs.
-
-// epochFakeView layers EpochView over bitsFakeView with manually bumped
-// per-port epochs, standing in for the router's SoA state.
-type epochFakeView struct {
-	bitsFakeView
-	epochs [topo.NumPorts]uint32
-}
-
-func (e *epochFakeView) PortEpoch(d topo.Direction) uint32 { return e.epochs[d] }
-
-// benchView builds a deterministic occupancy pattern: every port has a
-// mix of idle, foreign-owned and dest-owned VCs.
-func benchView(vcs, dest int) *epochFakeView {
-	fv := newFakeView(vcs)
-	fv.regOwner = map[topo.Direction][]int{}
-	for d := topo.East; d <= topo.Local; d++ {
-		ro := make([]int, vcs)
-		for v := 0; v < vcs; v++ {
-			ro[v] = -1
-			switch v % 3 {
-			case 1:
-				fv.owner[d][v] = dest
-				ro[v] = dest
-			case 2:
-				fv.owner[d][v] = (dest + 1) % 64
-			}
-		}
-		fv.regOwner[d] = ro
-		fv.downstream[d] = vcs / 2
-	}
-	return &epochFakeView{bitsFakeView: bitsFakeView{fv}}
-}
-
-func benchCachePaths(b *testing.B, name string) {
+// BenchmarkCachePathsDOR prices the route memo's hit path against the
+// live DOR Route it replaces. The root package's
+// BenchmarkRouteCacheHitPath measures the same trade end to end inside
+// a full simulation; this isolates the per-decision cost.
+func BenchmarkCachePathsDOR(b *testing.B) {
 	m := topo.MustNew(8, 8)
-	alg := MustNew(name)
-	view := benchView(8, 27)
+	alg := MustNew("dor")
 	ctx := &Context{
 		Mesh: m, Cur: 9, Dest: 27, InDir: topo.West,
-		View: view, Rand: rand.New(rand.NewSource(1)),
+		View: bitsFakeView{newFakeView(8)}, Rand: rand.New(rand.NewSource(1)),
 	}
 
 	b.Run("route-uncached", func(b *testing.B) {
@@ -62,60 +27,15 @@ func benchCachePaths(b *testing.B, name string) {
 		}
 	})
 
-	b.Run("table-hit", func(b *testing.B) {
-		c := NewCache(alg)
-		var reqs []Request
-		reqs = c.Requests(alg, ctx, nil, reqs[:0]) // warm the entry
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			reqs = c.Requests(alg, ctx, nil, reqs[:0])
-		}
-		_ = reqs
-	})
-
 	b.Run("memo-hit", func(b *testing.B) {
-		c := NewCache(alg)
-		var slot CacheSlot
+		c := NewCache(alg, m)
 		var reqs []Request
-		reqs = c.Requests(alg, ctx, &slot, reqs[:0]) // warm the slot
+		reqs = c.Requests(alg, ctx, reqs[:0]) // store the entry
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			reqs = c.Requests(alg, ctx, &slot, reqs[:0])
+			reqs = c.Requests(alg, ctx, reqs[:0])
 		}
 		_ = reqs
-	})
-
-	b.Run("miss-insert", func(b *testing.B) {
-		c := NewCache(alg)
-		b.ReportAllocs()
-		b.ResetTimer()
-		var reqs []Request
-		for i := 0; i < b.N; i++ {
-			// A fresh idle pattern per iteration defeats the fingerprint
-			// (and, for scalar specs, a fresh destination), so every
-			// decision inserts. The adaptive gate is reset so the bypass
-			// path does not absorb the misses being measured.
-			view.epochs[topo.East]++
-			for d := topo.East; d <= topo.South; d++ {
-				for v := 0; v < 8; v++ {
-					view.owner[d][v] = -1
-					if i>>((int(d)*8+v)%20)&1 == 1 {
-						view.owner[d][v] = 27
-					}
-				}
-			}
-			ctx.Dest = 1 + (i % 62)
-			if ctx.Dest == ctx.Cur {
-				ctx.Dest = 63
-			}
-			c.bypassLeft, c.winLookups, c.winHits = 0, 0, 0
-			reqs = c.Requests(alg, ctx, nil, reqs[:0])
-		}
-		ctx.Dest = 27
 	})
 }
-
-func BenchmarkCachePathsDOR(b *testing.B)       { benchCachePaths(b, "dor") }
-func BenchmarkCachePathsFootprint(b *testing.B) { benchCachePaths(b, "footprint") }

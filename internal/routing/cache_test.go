@@ -9,16 +9,14 @@ import (
 	"nocsim/internal/topo"
 )
 
-// Tests for the route-decision cache. The two load-bearing properties —
-// cached decisions are byte-identical to uncached ones and consume the
-// shared RNG stream identically — are checked by the differential fuzz
-// target over walked reachable states; the unit tests below pin each
-// service path (memo, table hit, miss insert, draw replay, bypass,
-// uncacheable degradation) and the storage budget individually.
+// Tests for the route memo. The two load-bearing properties — memoized
+// decisions are byte-identical to live ones and consume the shared RNG
+// stream identically — are checked by the differential fuzz target over
+// walked reachable states; the unit tests below pin the pass-through,
+// hit and empty-decision paths.
 
-// stubCacheAlg is a deterministic draw-free cacheable algorithm with a
-// scalar-only fingerprint spec, so tests can count live computations and
-// script the request list length.
+// stubCacheAlg is a deterministic draw-free memoizable algorithm, so
+// tests can count live computations and script the request list length.
 type stubCacheAlg struct {
 	reqsPerCall int
 	calls       int
@@ -30,21 +28,19 @@ func (s *stubCacheAlg) ConservativeRealloc() bool { return false }
 func (s *stubCacheAlg) Route(ctx *Context, reqs []Request) []Request {
 	s.calls++
 	for v := 0; v < s.reqsPerCall; v++ {
-		reqs = append(reqs, Request{Dir: topo.East, VC: (ctx.Dest + v) % 4})
+		reqs = append(reqs, Request{Dir: topo.East, VC: v})
 	}
 	return reqs
 }
 func (s *stubCacheAlg) CacheSpec() (CacheSpec, bool) { return CacheSpec{}, true }
 
-// plainStubAlg does not implement Fingerprinter: the cache must disable
-// itself and pass decisions straight through.
+// plainStubAlg opts out of the memo: every decision must route live and
+// count as a miss.
 type plainStubAlg struct{ stubCacheAlg }
 
 func (p *plainStubAlg) CacheSpec() (CacheSpec, bool) { return CacheSpec{}, false }
 
-// scriptRand deals tie-break bits from a fixed script; giving the cached
-// and uncached computation the same script makes draw-dependent
-// decisions comparable call by call.
+// scriptRand deals tie-break bits from a fixed script.
 type scriptRand struct {
 	bits []int
 	i    int
@@ -58,64 +54,63 @@ func (s *scriptRand) Intn(n int) int {
 
 func TestCacheDisabledPassThrough(t *testing.T) {
 	alg := &plainStubAlg{stubCacheAlg{reqsPerCall: 2}}
-	c := NewCache(alg)
-	if c.Enabled() {
-		t.Fatal("cache enabled for a non-Fingerprinter algorithm")
-	}
 	m := topo.MustNew(4, 4)
+	c := NewCache(alg, m)
 	ctx := testCtx(m, 0, 5, bitsFakeView{newFakeView(4)})
 	for i := 0; i < 3; i++ {
-		if got := c.Requests(alg, ctx, nil, nil); len(got) != 2 {
+		if got := c.Requests(alg, ctx, nil); len(got) != 2 {
 			t.Fatalf("pass-through requests = %v", got)
 		}
 	}
 	if alg.calls != 3 {
-		t.Errorf("live computations = %d, want 3 (no caching)", alg.calls)
+		t.Errorf("live computations = %d, want 3 (no memo)", alg.calls)
 	}
-	if st := c.Stats(); st != (CacheStats{}) {
-		t.Errorf("disabled cache counted traffic: %v", st)
+	if st := c.Stats(); st != (CacheStats{Misses: 3}) {
+		t.Errorf("stats = %+v, want 3 misses and nothing else", st)
 	}
 }
 
 func TestCacheMemoAndTableHit(t *testing.T) {
 	alg := &stubCacheAlg{reqsPerCall: 3}
-	c := NewCache(alg)
 	m := topo.MustNew(4, 4)
-	view := &epochFakeView{bitsFakeView: bitsFakeView{newFakeView(4)}}
-	ctx := testCtx(m, 0, 5, view)
-	var slot CacheSlot
+	c := NewCache(alg, m)
+	view := bitsFakeView{newFakeView(4)}
 
-	first := c.Requests(alg, ctx, &slot, nil)
-	second := c.Requests(alg, ctx, &slot, nil) // identical state: memo
-	third := c.Requests(alg, ctx, nil, nil)    // no slot: table hit
-	if !reflect.DeepEqual(first, second) || !reflect.DeepEqual(first, third) {
-		t.Fatalf("replayed decisions diverged: %v / %v / %v", first, second, third)
+	first := c.Requests(alg, testCtx(m, 0, 5, view), nil)
+	// 5 -> 10 has the same offset (+1, +1) and arrival port as 0 -> 5.
+	second := c.Requests(alg, testCtx(m, 5, 10, view), nil)
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("memoized decision diverged: %v / %v", first, second)
 	}
 	if alg.calls != 1 {
 		t.Errorf("live computations = %d, want 1", alg.calls)
 	}
-	st := c.Stats()
-	if st.Hits != 2 || st.MemoHits != 1 || st.Misses != 1 {
-		t.Errorf("stats = %+v, want 2 hits (1 memo), 1 miss", st)
+	// A different offset, and the same offset from another port, miss.
+	c.Requests(alg, testCtx(m, 0, 6, view), nil)
+	ctx := testCtx(m, 0, 5, view)
+	ctx.InDir = topo.West
+	c.Requests(alg, ctx, nil)
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 3 {
+		t.Errorf("stats = %+v, want 1 hit, 3 misses", st)
 	}
 
-	// The replay appends after an existing prefix, like Route does.
+	// A hit appends after an existing prefix, like Route does.
 	prefix := []Request{{Dir: topo.Local, VC: 9}}
-	got := c.Requests(alg, ctx, &slot, prefix)
+	got := c.Requests(alg, testCtx(m, 0, 5, view), prefix)
 	if len(got) != 4 || got[0] != prefix[0] {
-		t.Errorf("replay clobbered the caller's prefix: %v", got)
+		t.Errorf("hit clobbered the caller's prefix: %v", got)
 	}
 }
 
 func TestCacheEmptyDecisionCached(t *testing.T) {
 	alg := &stubCacheAlg{reqsPerCall: 0}
-	c := NewCache(alg)
 	m := topo.MustNew(4, 4)
+	c := NewCache(alg, m)
 	ctx := testCtx(m, 0, 5, bitsFakeView{newFakeView(4)})
-	if got := c.Requests(alg, ctx, nil, nil); len(got) != 0 {
+	if got := c.Requests(alg, ctx, nil); len(got) != 0 {
 		t.Fatalf("first call = %v, want empty", got)
 	}
-	if got := c.Requests(alg, ctx, nil, nil); len(got) != 0 {
+	if got := c.Requests(alg, ctx, nil); len(got) != 0 {
 		t.Fatalf("cached call = %v, want empty", got)
 	}
 	if st := c.Stats(); st.Hits != 1 || alg.calls != 1 {
@@ -123,429 +118,165 @@ func TestCacheEmptyDecisionCached(t *testing.T) {
 	}
 }
 
-func TestCacheEpochInvalidatesMemo(t *testing.T) {
-	alg := MustNew("footprint")
-	c := NewCache(alg)
-	m := topo.MustNew(8, 8)
-	view := benchView(8, 27)
-	mk := func() *Context {
-		return &Context{Mesh: m, Cur: 9, Dest: 27, InDir: topo.Local,
-			View: view, Rand: &scriptRand{bits: []int{0}}}
-	}
-	var slot CacheSlot
-	c.Requests(alg, mk(), &slot, nil) // miss
-	c.Requests(alg, mk(), &slot, nil) // memo hit
-	// A state transition on a productive port (East toward 27 from 9)
-	// must reject the memo; the unchanged masks still tag-hit the table.
-	view.epochs[topo.East]++
-	c.Requests(alg, mk(), &slot, nil)
-	st := c.Stats()
-	if st.MemoHits != 1 {
-		t.Errorf("memo hits = %d, want 1 (epoch bump must invalidate)", st.MemoHits)
-	}
-	if st.Hits != 2 || st.Misses != 1 {
-		t.Errorf("stats = %+v, want 2 hits / 1 miss", st)
-	}
-}
-
-func TestCacheGenInvalidatesMemoAfterOverwrite(t *testing.T) {
-	alg := &stubCacheAlg{reqsPerCall: 2}
-	c := NewCache(alg)
-	m := topo.MustNew(4, 4)
-	view := &epochFakeView{bitsFakeView: bitsFakeView{newFakeView(4)}}
-	ctx := testCtx(m, 0, 5, view)
-	var slot CacheSlot
-	want := c.Requests(alg, ctx, &slot, nil)
-
-	// Simulate a colliding insert overwriting the remembered entry:
-	// exactly what Requests does when a different fingerprint hashes to
-	// this slot. The stale memo must not replay the new occupant's data.
-	e := slot.ent
-	if e == nil {
-		t.Fatal("slot memo not armed after a miss")
-	}
-	e.gen++
-	e.key = fpKey{meta: ^uint64(0)}
-
-	got := c.Requests(alg, ctx, &slot, nil)
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("decision after overwrite = %v, want %v", got, want)
-	}
-	st := c.Stats()
-	if st.MemoHits != 0 || st.Misses != 2 || st.Evictions != 1 {
-		t.Errorf("stats = %+v, want 0 memo hits, 2 misses, 1 eviction", st)
-	}
-	if alg.calls != 2 {
-		t.Errorf("live computations = %d, want 2", alg.calls)
-	}
-}
-
-func TestCacheDrawReplayServesBothVariants(t *testing.T) {
-	alg := MustNew("footprint")
-	c := NewCache(alg)
-	m := topo.MustNew(8, 8)
-	// All VCs idle: from 9 toward 27 both East and South tie on every
-	// count, so each decision consumes exactly one tie-break draw.
-	view := bitsFakeView{newFakeView(8)}
-	script := []int{0, 1, 1, 0, 0, 1, 1, 1, 0}
-	cr := &scriptRand{bits: script}
-	ur := &scriptRand{bits: script}
-	mk := func(r Rand) *Context {
-		return &Context{Mesh: m, Cur: 9, Dest: 27, InDir: topo.Local, View: view, Rand: r}
-	}
-	for i := range script {
-		want := alg.Route(mk(ur), nil)
-		got := c.Requests(alg, mk(cr), nil, nil)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("call %d (bit %d): cached %v, uncached %v", i, script[i], got, want)
-		}
-	}
-	if cr.i != ur.i {
-		t.Errorf("draw consumption diverged: cached %d, uncached %d", cr.i, ur.i)
-	}
-	st := c.Stats()
-	if st.DrawReplays != int64(len(script)-1) {
-		t.Errorf("draw replays = %d, want %d", st.DrawReplays, len(script)-1)
-	}
-	if st.Hits != int64(len(script)-1) || st.Misses != 1 {
-		t.Errorf("stats = %+v", st)
-	}
-	found := false
-	for i := range c.table {
-		e := &c.table[i]
-		if e.flags&entOccupied == 0 || e.flags&entDrew == 0 {
-			continue
-		}
-		found = true
-		if e.flags&entHasVar0 == 0 || e.flags&entHasVar1 == 0 {
-			t.Errorf("entry served both bits but stores flags %#x", e.flags)
-		}
-	}
-	if !found {
-		t.Error("no draw-recorded entry in the table")
-	}
-}
-
-func TestCacheStoreIntoBudget(t *testing.T) {
-	c := &Cache{}
-	var e entry
-	big := make([]Request, 10)
-	for i := range big {
-		big[i] = Request{VC: i}
-	}
-	if !c.storeInto(&e, refReqs, big) {
-		t.Fatal("first claim failed")
-	}
-	if len(c.arena) != 10 || e.refs[refReqs].cap != 10 {
-		t.Fatalf("claim: arena %d, cap %d", len(c.arena), e.refs[refReqs].cap)
-	}
-	// A smaller list landing in the same ref reuses the span in place.
-	if !c.storeInto(&e, refReqs, big[:4]) {
-		t.Fatal("in-place reuse failed")
-	}
-	if len(c.arena) != 10 {
-		t.Fatalf("in-place reuse grew the arena to %d", len(c.arena))
-	}
-	if e.refs[refReqs].n != 4 || e.refs[refReqs].cap != 10 {
-		t.Fatalf("reused ref = %+v", e.refs[refReqs])
-	}
-	// Empty lists need no arena space at all.
-	var e2 entry
-	if !c.storeInto(&e2, refReqs, nil) || e2.refs[refReqs].n != 0 {
-		t.Fatal("empty store failed")
-	}
-	// Exhaustion: a claim past the budget is refused, an exact fit is not.
-	c.arena = c.arena[:arenaCap-5]
-	var e3 entry
-	if c.storeInto(&e3, refReqs, make([]Request, 6)) {
-		t.Fatal("claim beyond the arena budget succeeded")
-	}
-	if !c.storeInto(&e3, refReqs, make([]Request, 5)) {
-		t.Fatal("exact-fit claim failed")
-	}
-	if len(c.arena) != arenaCap {
-		t.Fatalf("arena length %d, want %d", len(c.arena), arenaCap)
-	}
-}
-
-func TestCacheArenaExhaustionDegradesSafely(t *testing.T) {
-	// 120 requests per decision across 49 distinct fingerprints need
-	// 5880 arena slots against a budget of 4096: later inserts must fail
-	// to claim space, mark their entries uncacheable, and keep serving
-	// correct results live.
-	alg := &stubCacheAlg{reqsPerCall: 120}
-	c := NewCache(alg)
-	m := topo.MustNew(1, 50)
-	view := bitsFakeView{newFakeView(4)}
-	for dest := 1; dest < 50; dest++ {
-		got := c.Requests(alg, testCtx(m, 0, dest, view), nil, nil)
-		if len(got) != 120 {
-			t.Fatalf("dest %d: %d requests", dest, len(got))
-		}
-	}
-	if len(c.arena) > arenaCap {
-		t.Fatalf("arena overran its budget: %d > %d", len(c.arena), arenaCap)
-	}
-	uncached := 0
-	for i := range c.table {
-		if c.table[i].flags&entUncache != 0 {
-			uncached++
-		}
-	}
-	if uncached == 0 {
-		t.Fatal("no entry degraded to uncacheable despite arena exhaustion")
-	}
-	// Revisiting an uncacheable fingerprint computes live, correctly.
-	liveBefore := alg.calls
-	got := c.Requests(alg, testCtx(m, 0, 49, view), nil, nil)
-	if len(got) != 120 {
-		t.Fatalf("uncacheable revisit = %d requests", len(got))
-	}
-	if alg.calls != liveBefore+1 {
-		t.Errorf("uncacheable revisit did not compute live")
-	}
-	// Revisiting an early (cached) fingerprint still hits.
-	hitsBefore := c.Stats().Hits
-	c.Requests(alg, testCtx(m, 0, 1, view), nil, nil)
-	if c.Stats().Hits != hitsBefore+1 {
-		t.Errorf("cached fingerprint no longer hits after exhaustion")
-	}
-}
-
-// TestCacheBypassGateDeterministic drives a low-congruence workload —
-// footprint with occupancy churned from a seeded RNG — long enough to
-// trip the adaptive gate, twice, and checks the gate engages and every
-// counter lands identically: the gate is a pure function of the
-// simulated schedule, so it cannot perturb run-to-run determinism.
-func TestCacheBypassGateDeterministic(t *testing.T) {
-	run := func() (CacheStats, int, int) {
-		alg := MustNew("footprint")
-		c := NewCache(alg)
-		m := topo.MustNew(8, 8)
-		fv := newFakeView(8)
-		view := bitsFakeView{fv}
-		occR := rand.New(rand.NewSource(99))
-		routeR := rand.New(rand.NewSource(7))
-		var reqs []Request
-		for i := 0; i < 3*probeWindow; i++ {
-			for d := topo.East; d <= topo.South; d++ {
-				for v := 0; v < 8; v++ {
-					fv.owner[d][v] = -1
-					if occR.Intn(2) == 1 {
-						fv.owner[d][v] = occR.Intn(64)
-					}
-				}
-			}
-			dest := occR.Intn(63)
-			if dest >= 9 {
-				dest++ // never the current router
-			}
-			ctx := &Context{Mesh: m, Cur: 9, Dest: dest, InDir: topo.Local,
-				View: view, Rand: routeR}
-			reqs = c.Requests(alg, ctx, nil, reqs[:0])
-		}
-		return c.Stats(), c.bypassLeft, c.bypassLen
-	}
-	st1, left1, len1 := run()
-	st2, left2, len2 := run()
-	if st1 != st2 || left1 != left2 || len1 != len2 {
-		t.Fatalf("gate not deterministic:\nrun1 %+v left=%d len=%d\nrun2 %+v left=%d len=%d",
-			st1, left1, len1, st2, left2, len2)
-	}
-	if left1 == 0 {
-		t.Errorf("random occupancy never tripped the bypass gate: %+v", st1)
-	}
-	if st1.Hits+st1.Misses != int64(3*probeWindow) {
-		t.Errorf("stats don't cover every decision: %+v", st1)
-	}
-}
-
-// randView builds a fakeView whose occupancy is drawn from rng, biased
-// toward dest so owner/register fingerprint facets are exercised.
-func randView(rng *rand.Rand, nodes, vcs, dest int) *fakeView {
-	fv := newFakeView(vcs)
-	fv.regOwner = map[topo.Direction][]int{}
-	for d := topo.East; d <= topo.Local; d++ {
-		ro := make([]int, vcs)
-		for v := 0; v < vcs; v++ {
-			ro[v] = -1
-			switch rng.Intn(4) {
-			case 0:
-				fv.owner[d][v] = dest
-			case 1:
-				fv.owner[d][v] = rng.Intn(nodes)
-			}
-			if rng.Intn(3) == 0 {
-				ro[v] = dest
-			}
-		}
-		fv.regOwner[d] = ro
-		fv.downstream[d] = rng.Intn(vcs + 1)
-	}
-	return fv
-}
-
-// TestFingerprintInjectivity checks congruence soundness for every
-// cacheable algorithm: two reachable states that pack to the same
-// fingerprint must produce the same decision (given the same RNG
-// state). A violation means the key is missing a facet the algorithm
-// actually reads — exactly the bug class the cache's correctness
-// argument rests on excluding.
-func TestFingerprintInjectivity(t *testing.T) {
-	m := topo.MustNew(6, 6)
+// memoized lists the registered algorithms that opt into the memo.
+func memoized() []string {
+	var out []string
 	for _, name := range Names() {
-		alg := MustNew(name)
-		if !Cacheable(alg) {
-			continue
+		if f, ok := MustNew(name).(Fingerprinter); ok {
+			if _, ok := f.CacheSpec(); ok {
+				out = append(out, name)
+			}
 		}
-		c := NewCache(alg)
-		rng := rand.New(rand.NewSource(11))
-		seen := map[fpKey]string{}
-		dups := 0
-		// One fabric has one VC count: a Cache never mixes them
-		// (CacheSpec fixes configuration at construction).
-		vcs := 2 + rng.Intn(7)
-		for trial := 0; trial < 600; trial++ {
-			cur := rng.Intn(m.Nodes())
-			dest := rng.Intn(m.Nodes())
+	}
+	return out
+}
+
+// TestFingerprintInjectivity checks memo soundness for every memoized
+// algorithm: two reachable states at the same (offset, InDir) slot must
+// produce the same decision, whatever the rest of the router state. A
+// violation means the algorithm reads something the memo key does not
+// hold. It also pins the memoized set to DOR: an adaptive algorithm that
+// opts in would be served stale decisions.
+func TestFingerprintInjectivity(t *testing.T) {
+	if got := memoized(); !reflect.DeepEqual(got, []string{"dor"}) {
+		t.Fatalf("memoized algorithms = %q, want only dor", got)
+	}
+	m := topo.MustNew(6, 6)
+	alg := MustNew("dor")
+	c := NewCache(alg, m)
+	rng := rand.New(rand.NewSource(11))
+	seen := map[int]string{}
+	dups := 0
+	vcs := 2 + rng.Intn(7)
+	for trial := 0; trial < 600; trial++ {
+		cur := rng.Intn(m.Nodes())
+		dest := rng.Intn(m.Nodes())
+		if dest == cur {
+			dest = (dest + 1) % m.Nodes()
+		}
+		// Walk the packet partway so (cur, inDir) is reachable.
+		inDir := topo.Local
+		for steps := rng.Intn(m.Hops(cur, dest)); steps > 0; steps-- {
+			ctx := &Context{Mesh: m, Cur: cur, Dest: dest, InDir: inDir,
+				View: bitsFakeView{fuzzRandView(rng, m.Nodes(), vcs)}, Rand: rng}
+			reqs := alg.Route(ctx, nil)
+			next, ok := m.Neighbor(cur, reqs[0].Dir)
+			if !ok || next == dest {
+				break
+			}
+			inDir = reqs[0].Dir.Opposite()
+			cur = next
+		}
+		ctx := &Context{Mesh: m, Cur: cur, Dest: dest, InDir: inDir,
+			View: bitsFakeView{fuzzRandView(rng, m.Nodes(), vcs)}, Rand: &scriptRand{bits: []int{1}}}
+		key := c.index(ctx)
+		sig := fmt.Sprintf("%v", alg.Route(ctx, nil))
+		if prev, dup := seen[key]; dup {
+			dups++
+			if prev != sig {
+				t.Fatalf("same memo slot %d, different decisions\nfirst:  %s\nsecond: %s", key, prev, sig)
+			}
+		} else {
+			seen[key] = sig
+		}
+	}
+	if dups == 0 {
+		t.Error("no two trials shared a memo slot; the check compared nothing")
+	}
+}
+
+// fuzzRandView builds a fakeView whose occupancy is drawn from rng.
+func fuzzRandView(rng *rand.Rand, nodes, vcs int) *fakeView {
+	b := make([]byte, 8*topo.NumPorts*vcs)
+	rng.Read(b)
+	return fuzzView(&fuzzBytes{data: b}, nodes, vcs)
+}
+
+// FuzzRouteCacheDifferential is the memo's correctness argument made
+// executable: a packet under a memoized algorithm is walked through
+// fuzz-chosen router states, and at every decision the memo path (one
+// shared Cache, blocked re-routes, state churn under the blocked packet)
+// is compared against a fresh live Route on its own RNG stream. Both the
+// request lists and the RNG stream positions must stay identical — the
+// two halves of the result-invisibility claim.
+func FuzzRouteCacheDifferential(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3})
+	for i := 0; i < 10; i++ {
+		seed := make([]byte, 64)
+		for j := range seed {
+			seed[j] = byte(i*53 + j*7 + 3)
+		}
+		f.Add(seed)
+	}
+	names := memoized()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fb := &fuzzBytes{data: data}
+		name := names[fb.pick(len(names))]
+		alg := MustNew(name)
+
+		m := topo.MustNew(3+fb.pick(6), 3+fb.pick(6))
+		c := NewCache(alg, m)
+		vcs := 2 + fb.pick(7)
+		seed := int64(fb.next())
+		ru := rand.New(rand.NewSource(seed)) // live reference stream
+		rc := rand.New(rand.NewSource(seed)) // stream the memo path sees
+		decisions := 0
+
+		// Several packets share the memo, so later ones hit entries
+		// earlier ones stored.
+		for pkt := 0; pkt < 3; pkt++ {
+			cur := fb.pick(m.Nodes())
+			dest := fb.pick(m.Nodes())
 			if dest == cur {
 				dest = (dest + 1) % m.Nodes()
 			}
-			// Walk the packet partway so (cur, inDir) is reachable.
+			view := bitsFakeView{fuzzView(fb, m.Nodes(), vcs)}
 			inDir := topo.Local
-			fv := randView(rng, m.Nodes(), vcs, dest)
-			for steps := rng.Intn(m.Hops(cur, dest)); steps > 0; steps-- {
-				ctx := &Context{Mesh: m, Cur: cur, Dest: dest, InDir: inDir,
-					View: bitsFakeView{fv}, Rand: rng}
-				reqs := alg.Route(ctx, nil)
+
+			check := func() []Request {
+				decisions++
+				want := alg.Route(&Context{Mesh: m, Cur: cur, Dest: dest,
+					InDir: inDir, View: view, Rand: ru}, nil)
+				got := c.Requests(alg, &Context{Mesh: m, Cur: cur, Dest: dest,
+					InDir: inDir, View: view, Rand: rc}, nil)
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("%s: memoized decision diverged at decision %d\nlive:     %v\nmemoized: %v\nstats: %v",
+						name, decisions, want, got, c.Stats())
+				}
+				// Drawing one value from each stream checks the memo path
+				// consumed exactly as many draws as the live computation.
+				if u, cv := ru.Int63(), rc.Int63(); u != cv {
+					t.Fatalf("%s: RNG stream diverged after decision %d (stats %v)",
+						name, decisions, c.Stats())
+				}
+				return got
+			}
+
+			for hop := 0; hop < 12; hop++ {
+				reqs := check()
+				// Blocked re-routes: identical state.
+				for n := fb.pick(3); n > 0; n-- {
+					check()
+				}
+				// Router state changes under the blocked packet.
+				if fb.next()%2 == 0 {
+					view = bitsFakeView{fuzzView(fb, m.Nodes(), vcs)}
+					reqs = check()
+				}
 				if len(reqs) == 0 {
 					break
 				}
-				r := reqs[rng.Intn(len(reqs))]
+				r := reqs[fb.pick(len(reqs))]
 				next, ok := m.Neighbor(cur, r.Dir)
 				if !ok || next == dest {
 					break
 				}
 				inDir = r.Dir.Opposite()
 				cur = next
-				fv = randView(rng, m.Nodes(), vcs, dest)
+				// A different router: its own view.
+				view = bitsFakeView{fuzzView(fb, m.Nodes(), vcs)}
 			}
-			bv := bitsFakeView{fv}
-			ctx := &Context{Mesh: m, Cur: cur, Dest: dest, InDir: inDir,
-				View: bv, Rand: &scriptRand{bits: []int{1}}}
-			key, _, _, _, _, ok := c.key(ctx, bv)
-			if !ok {
-				t.Fatalf("%s: key bypassed on a 6x6 mesh", name)
-			}
-			sig := fmt.Sprintf("%v", alg.Route(ctx, nil))
-			if prev, dup := seen[key]; dup {
-				dups++
-				if prev != sig {
-					t.Fatalf("%s: congruent fingerprints, different decisions\nkey %+v\nfirst:  %s\nsecond: %s",
-						name, key, prev, sig)
-				}
-			} else {
-				seen[key] = sig
-			}
-		}
-		if dups == 0 {
-			t.Logf("%s: no congruent pairs in 600 trials (key space too wide to collide here)", name)
-		}
-	}
-}
-
-// FuzzRouteCacheDifferential is the cache's correctness argument made
-// executable: a packet is walked through fuzz-chosen router states, and
-// at every decision the cached path (one shared Cache, a per-requester
-// memo slot, blocked re-routes, state churn under the blocked packet)
-// is compared against a fresh uncached Route on its own RNG stream.
-// Both the request lists and the RNG stream positions must stay
-// identical — the two halves of the result-invisibility claim.
-func FuzzRouteCacheDifferential(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3})
-	for i, name := range Names() {
-		seed := make([]byte, 64)
-		for j := range seed {
-			seed[j] = byte(i*53 + j*7 + len(name))
-		}
-		f.Add(seed)
-	}
-	names := Names()
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fb := &fuzzBytes{data: data}
-		name := names[fb.pick(len(names))]
-		alg := MustNew(name)
-		c := NewCache(alg)
-
-		m := topo.MustNew(3+fb.pick(6), 3+fb.pick(6))
-		vcs := 2 + fb.pick(7)
-		cur := fb.pick(m.Nodes())
-		dest := fb.pick(m.Nodes())
-		if dest == cur {
-			dest = (dest + 1) % m.Nodes()
-		}
-		seed := int64(fb.next())
-		ru := rand.New(rand.NewSource(seed)) // uncached reference stream
-		rc := rand.New(rand.NewSource(seed)) // stream the cache interposes
-
-		view := &epochFakeView{bitsFakeView: bitsFakeView{fuzzView(fb, m.Nodes(), vcs)}}
-		var slot CacheSlot
-		inDir := topo.Local
-		decisions := 0
-
-		check := func() []Request {
-			decisions++
-			want := alg.Route(&Context{Mesh: m, Cur: cur, Dest: dest,
-				InDir: inDir, View: view, Rand: ru}, nil)
-			sl := &slot
-			if fb.next()%4 == 0 {
-				sl = nil // requesters without a memo (sanity: slot is optional)
-			}
-			got := c.Requests(alg, &Context{Mesh: m, Cur: cur, Dest: dest,
-				InDir: inDir, View: view, Rand: rc}, sl, nil)
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("%s: cached decision diverged at decision %d\nuncached: %v\ncached:   %v\nstats: %v",
-					name, decisions, want, got, c.Stats())
-			}
-			// Drawing one value from each stream checks the cache consumed
-			// exactly as many draws as the uncached computation; the draw
-			// itself stays symmetric, so later decisions remain comparable.
-			if u, cv := ru.Int63(), rc.Int63(); u != cv {
-				t.Fatalf("%s: RNG stream diverged after decision %d (stats %v)",
-					name, decisions, c.Stats())
-			}
-			return got
-		}
-
-		for hop := 0; hop < 12; hop++ {
-			reqs := check()
-			// Blocked re-routes: identical state, served by the memo.
-			for n := fb.pick(3); n > 0; n-- {
-				check()
-			}
-			// Router state changes under the blocked packet: new
-			// occupancy, bumped epochs, decision recomputed or re-fetched.
-			if fb.next()%2 == 0 {
-				view.bitsFakeView = bitsFakeView{fuzzView(fb, m.Nodes(), vcs)}
-				for d := range view.epochs {
-					view.epochs[d]++
-				}
-				reqs = check()
-			}
-			if len(reqs) == 0 {
-				break
-			}
-			r := reqs[fb.pick(len(reqs))]
-			next, ok := m.Neighbor(cur, r.Dir)
-			if !ok || next == dest {
-				break
-			}
-			inDir = r.Dir.Opposite()
-			cur = next
-			// A different router: its own view, epochs and memo slot.
-			view = &epochFakeView{bitsFakeView: bitsFakeView{fuzzView(fb, m.Nodes(), vcs)}}
-			slot = CacheSlot{}
 		}
 		if st := c.Stats(); st.Hits+st.Misses != int64(decisions) {
 			t.Fatalf("%s: hits+misses = %d after %d decisions: %+v",

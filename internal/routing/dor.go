@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"slices"
+
 	"nocsim/internal/alloc"
 	"nocsim/internal/topo"
 )
@@ -24,15 +26,17 @@ func (*DOR) UsesEscape() bool { return false }
 // ConservativeRealloc implements Algorithm.
 func (*DOR) ConservativeRealloc() bool { return false }
 
-// CacheSpec implements Fingerprinter: DOR reads no view state, so the
-// destination offset alone determines its decision.
+// CacheSpec implements Fingerprinter: DOR reads only the destination
+// offset and never draws, so the route memo serves its decisions.
 func (*DOR) CacheSpec() (CacheSpec, bool) { return CacheSpec{}, true }
 
 // Route implements Algorithm: all VCs of the single dimension-order port
 // at Low priority.
 func (*DOR) Route(ctx *Context, reqs []Request) []Request {
 	d := dorDir(ctx.Mesh, ctx.Cur, ctx.Dest)
-	for v := 0; v < ctx.View.VCs(); v++ {
+	n := ctx.View.VCs()
+	reqs = slices.Grow(reqs, n)
+	for v := 0; v < n; v++ {
 		reqs = append(reqs, Request{Dir: d, VC: v, Pri: alloc.Low})
 	}
 	return reqs

@@ -22,10 +22,7 @@ import (
 // Rand is the tie-break randomness a routing decision may consume. It is
 // the minimal slice of *math/rand.Rand the algorithms use (a single
 // Intn(2) on full ties in selectByCounts), narrowed to an interface so
-// the route cache can interpose a recording source: the cache counts how
-// many draws a computed decision consumed and replays exactly that many
-// from the live stream on every hit, keeping the shared per-router RNG
-// stream bit-identical whether or not caching is enabled.
+// tests can script the tie-breaks.
 type Rand interface {
 	// Intn returns a uniform value in [0, n). n must be > 0.
 	Intn(n int) int

@@ -45,7 +45,7 @@ type Config struct {
 	// and endpoint is visited every cycle (see network.Config.StepAll). A
 	// debug mode: results are bit-identical either way, only slower.
 	StepAll bool
-	// NoRouteCache disables the route-decision cache (see
+	// NoRouteCache disables the route memo (see
 	// network.Config.NoRouteCache). An escape hatch: results are
 	// bit-identical either way, only slower.
 	NoRouteCache bool

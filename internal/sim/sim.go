@@ -58,8 +58,9 @@ type Result struct {
 	// Config.Obs.Profile is set). Like Runtime it describes the host,
 	// never the fabric: determinism goldens scrub it.
 	PerfProfile *obs.PerfProfile
-	// RouteCache is the route-decision cache's traffic counters (nil
-	// when caching is off). Deterministic — a pure function of the
+	// RouteCache is the route memo's traffic counters (nil when the memo
+	// is off): Misses counts every live Route call, Hits the DOR
+	// decisions the memo served. Deterministic — a pure function of the
 	// simulated schedule — but a self-metric, not a fabric result.
 	RouteCache *routing.CacheStats
 	// Stalled reports that the run's watchdog flagged at least one
