@@ -52,8 +52,9 @@ func (a *RoundRobin) Arbitrate(requests []bool) int {
 }
 
 // Priority orders virtual-channel requests as in Algorithm 1 of the paper.
-// Higher values win allocation.
-type Priority int
+// Higher values win allocation. One byte, so a routing.Request packs into
+// 16 bytes.
+type Priority uint8
 
 // Request priorities, lowest to highest (Algorithm 1, with one extra
 // level for footprint register affinity): escape requests are Lowest,

@@ -66,6 +66,7 @@ const stageCap = 4
 type Router struct {
 	cfg Config
 	vcs int // cfg.VCs, hot-path copy
+	lo  int // lowest adaptive VC: 1 when cfg.Alg.UsesEscape(), else 0
 
 	// Input VC state machine, SoA over idx.
 	inState   []uint8
@@ -73,6 +74,13 @@ type Router struct {
 	inOutVC   []int32          // granted output VC (active state)
 	inBlocked []int64          // consecutive failed-allocation cycles
 	inRouted  []bool
+	// inDest/inPkt record the head packet's destination and packet while
+	// the VC is in routing state. They are set at the two points a VC
+	// enters vcRouting (the Receive promotion and the traverse tail
+	// hand-off), so route computation, VC allocation and the failure
+	// bookkeeping never chase the front flit to reach its packet.
+	inDest []int32
+	inPkt  []*flit.Packet
 	// inReqs is the packet's VC request set per input VC, computed at
 	// route time. The slices retain their capacity across packets, so
 	// re-evaluation does not allocate in steady state. This is what makes
@@ -101,15 +109,18 @@ type Router struct {
 	outAwaitTail []bool
 
 	// Per-port aggregates of the output VC state, maintained on every
-	// transition so the routing helpers (routing.AggregateView) answer
-	// idle/footprint counts in O(1) instead of scanning every VC.
-	// idleMask bit v is set while VC v of the port is idle; fpCnt counts,
-	// per (port, destination), the VCs currently owned by that
-	// destination.
-	idleMask [topo.NumPorts]uint32
-	fpCnt    []int16
-	regCnt   []int16 // like fpCnt, for the persistent footprint registers
-	nodes    int     // cfg.Mesh.Nodes(), fpCnt/regCnt stride
+	// transition so the routing helpers (routing.BitsView) answer idle
+	// and footprint queries with one load instead of scanning every VC.
+	// Bit v of idleMask[p] is set while VC v of port p is idle, and of
+	// allocMask[p] while it is allocatable (neither allocated nor awaiting
+	// its tail credit). ownMask holds, per (port, destination), the VCs
+	// currently owned by that destination; regMask likewise for the
+	// persistent footprint registers.
+	idleMask  [topo.NumPorts]uint32
+	allocMask [topo.NumPorts]uint32
+	ownMask   []uint32
+	regMask   []uint32
+	nodes     int // cfg.Mesh.Nodes(), ownMask/regMask stride
 
 	// Output stages: per-port rings of capacity stageCap over one backing
 	// array, absorbing the internal speedup.
@@ -202,6 +213,8 @@ func New(cfg Config) *Router {
 		inOutVC:   make([]int32, n),
 		inBlocked: make([]int64, n),
 		inRouted:  make([]bool, n),
+		inDest:    make([]int32, n),
+		inPkt:     make([]*flit.Packet, n),
 		inReqs:    make([][]routing.Request, n),
 
 		bufStore: make([]*flit.Flit, n*cfg.BufDepth),
@@ -232,13 +245,18 @@ func New(cfg Config) *Router {
 		r.outOwner[i] = -1
 		r.outRegOwner[i] = -1
 	}
+	if cfg.Alg.UsesEscape() {
+		r.lo = 1
+	}
 	r.nodes = cfg.Mesh.Nodes()
-	r.fpCnt = make([]int16, P*r.nodes)
-	r.regCnt = make([]int16, P*r.nodes)
+	r.ownMask = make([]uint32, P*r.nodes)
+	r.regMask = make([]uint32, P*r.nodes)
 	for p := 0; p < P; p++ {
 		r.saIn[p] = alloc.NewRoundRobin(cfg.VCs)
 		r.saOut[p] = alloc.NewRoundRobin(P)
-		r.idleMask[p] = uint32(1)<<uint(cfg.VCs) - 1 // all VCs start idle
+		all := uint32(1)<<uint(cfg.VCs) - 1
+		r.idleMask[p] = all // all VCs start idle
+		r.allocMask[p] = all
 	}
 	// The routing context is built once and reused: Route receives a
 	// pointer to it every call (only Dest and InDir vary), so route
@@ -290,51 +308,54 @@ func (r *Router) outIdle(idx int) bool {
 	return !r.outAlloc[idx] && !r.outAwaitTail[idx] && int(r.outCredits[idx]) == r.cfg.BufDepth
 }
 
-// refreshIdleBit re-derives output VC idx's bit of the per-port idle
-// bitmask. Call after any mutation of outAlloc, outCredits or
+// refreshIdleBit re-derives output VC idx's bits of the per-port idle and
+// allocatable bitmasks. Call after any mutation of outAlloc, outCredits or
 // outAwaitTail.
 func (r *Router) refreshIdleBit(idx int) {
 	p := idx / r.vcs
 	bit := uint32(1) << uint(idx%r.vcs)
-	if r.outIdle(idx) {
+	if r.outAlloc[idx] || r.outAwaitTail[idx] {
+		r.allocMask[p] &^= bit
+		r.idleMask[p] &^= bit
+		return
+	}
+	r.allocMask[p] |= bit
+	if int(r.outCredits[idx]) == r.cfg.BufDepth {
 		r.idleMask[p] |= bit
 	} else {
 		r.idleMask[p] &^= bit
 	}
 }
 
-// setOwner moves output VC idx's footprint owner to dest (-1 on drain),
-// keeping the per-(port, destination) owner counts in step.
-func (r *Router) setOwner(idx, dest int) {
-	old := int(r.outOwner[idx])
-	if old == dest {
-		return
-	}
+// moveOwnerBit moves output VC idx's bit in the per-(port, destination)
+// masks from destination old to dest (either may be -1: no owner).
+func (r *Router) moveOwnerBit(masks []uint32, idx, old, dest int) {
 	p := idx / r.vcs
+	bit := uint32(1) << uint(idx%r.vcs)
 	if old >= 0 {
-		r.fpCnt[p*r.nodes+old]--
+		masks[p*r.nodes+old] &^= bit
 	}
 	if dest >= 0 {
-		r.fpCnt[p*r.nodes+dest]++
+		masks[p*r.nodes+dest] |= bit
 	}
-	r.outOwner[idx] = int32(dest)
+}
+
+// setOwner moves output VC idx's footprint owner to dest (-1 on drain),
+// keeping the per-(port, destination) owner masks in step.
+func (r *Router) setOwner(idx, dest int) {
+	if old := int(r.outOwner[idx]); old != dest {
+		r.moveOwnerBit(r.ownMask, idx, old, dest)
+		r.outOwner[idx] = int32(dest)
+	}
 }
 
 // setRegOwner moves output VC idx's persistent footprint register to
-// dest, keeping the per-(port, destination) register counts in step.
+// dest, keeping the per-(port, destination) register masks in step.
 func (r *Router) setRegOwner(idx, dest int) {
-	old := int(r.outRegOwner[idx])
-	if old == dest {
-		return
+	if old := int(r.outRegOwner[idx]); old != dest {
+		r.moveOwnerBit(r.regMask, idx, old, dest)
+		r.outRegOwner[idx] = int32(dest)
 	}
-	p := idx / r.vcs
-	if old >= 0 {
-		r.regCnt[p*r.nodes+old]--
-	}
-	if dest >= 0 {
-		r.regCnt[p*r.nodes+dest]++
-	}
-	r.outRegOwner[idx] = int32(dest)
 }
 
 // --- input buffer rings ----------------------------------------------------
@@ -440,55 +461,28 @@ func (r *Router) IdleCount(d topo.Direction, lo int) int {
 func (r *Router) IdleBits(d topo.Direction) uint32 { return r.idleMask[d] }
 
 // OwnerBits implements routing.BitsView: the VCs of port d owned by dest,
-// built from the owner array without per-VC interface dispatch. The
-// maintained owner count short-circuits the common no-footprint case.
+// read off the maintained owner masks.
 func (r *Router) OwnerBits(d topo.Direction, dest int) uint32 {
-	if dest < 0 || r.fpCnt[int(d)*r.nodes+dest] == 0 {
-		return 0
-	}
-	base := int(d) * r.vcs
-	var m uint32
-	for v := 0; v < r.vcs; v++ {
-		if int(r.outOwner[base+v]) == dest {
-			m |= uint32(1) << uint(v)
-		}
-	}
-	return m
-}
-
-// RegOwnerBits implements routing.BitsView: the VCs of port d whose
-// persistent footprint register names dest, with the same count-based
-// short-circuit as OwnerBits.
-func (r *Router) RegOwnerBits(d topo.Direction, dest int) uint32 {
-	if dest < 0 || r.regCnt[int(d)*r.nodes+dest] == 0 {
-		return 0
-	}
-	base := int(d) * r.vcs
-	var m uint32
-	for v := 0; v < r.vcs; v++ {
-		if int(r.outRegOwner[base+v]) == dest {
-			m |= uint32(1) << uint(v)
-		}
-	}
-	return m
-}
-
-// FootprintCount implements routing.AggregateView: the number of VCs of
-// port d in [lo, VCs) currently owned by dest, read off the maintained
-// owner counts (the escape VCs below lo are deducted by inspection; lo
-// is 0 or 1 in practice).
-func (r *Router) FootprintCount(d topo.Direction, dest, lo int) int {
 	if dest < 0 {
 		return 0
 	}
-	n := int(r.fpCnt[int(d)*r.nodes+dest])
-	base := int(d) * r.vcs
-	for v := 0; v < lo; v++ {
-		if int(r.outOwner[base+v]) == dest {
-			n--
-		}
+	return r.ownMask[int(d)*r.nodes+dest]
+}
+
+// RegOwnerBits implements routing.BitsView: the VCs of port d whose
+// persistent footprint register names dest, read off the maintained
+// register masks.
+func (r *Router) RegOwnerBits(d topo.Direction, dest int) uint32 {
+	if dest < 0 {
+		return 0
 	}
-	return n
+	return r.regMask[int(d)*r.nodes+dest]
+}
+
+// FootprintCount implements routing.AggregateView: the number of VCs of
+// port d in [lo, VCs) currently owned by dest.
+func (r *Router) FootprintCount(d topo.Direction, dest, lo int) int {
+	return bits.OnesCount32(r.OwnerBits(d, dest) >> uint(lo))
 }
 
 // IdleAdaptiveToward returns the number of idle adaptive VCs over the
@@ -496,20 +490,16 @@ func (r *Router) FootprintCount(d topo.Direction, dest, lo int) int {
 // dest is this node). The network uses it to answer DownstreamIdle for
 // neighbours.
 func (r *Router) IdleAdaptiveToward(dest int) int {
-	lo := 0
-	if r.cfg.Alg.UsesEscape() {
-		lo = 1
-	}
 	if dest == r.cfg.NodeID {
-		return r.IdleCount(topo.Local, lo)
+		return r.IdleCount(topo.Local, r.lo)
 	}
 	dx, hasX, dy, hasY := r.cfg.Mesh.MinimalDirs(r.cfg.NodeID, dest)
 	n := 0
 	if hasX {
-		n += r.IdleCount(dx, lo)
+		n += r.IdleCount(dx, r.lo)
 	}
 	if hasY {
-		n += r.IdleCount(dy, lo)
+		n += r.IdleCount(dy, r.lo)
 	}
 	return n
 }
@@ -539,6 +529,8 @@ func (r *Router) Receive() {
 					r.inState[i] = vcRouting
 					r.inRouted[i] = false
 					r.inBlocked[i] = 0
+					r.inDest[i] = int32(f.Packet.Dest)
+					r.inPkt[i] = f.Packet
 					r.routingMask[p] |= uint32(1) << uint(f.VC)
 					r.routingTotal++
 				}
@@ -583,7 +575,7 @@ func (r *Router) AllocateVCs() {
 		for m := r.routingMask[p]; m != 0; m &= m - 1 {
 			v := bits.TrailingZeros32(m)
 			requester := r.idx(topo.Direction(p), v)
-			f := r.bufFront(requester)
+			dest := int(r.inDest[requester])
 			if !r.inRouted[requester] || !r.cfg.StickyRouting {
 				// By default the route (and its VC request set) is
 				// re-evaluated every cycle while the packet waits, so
@@ -593,19 +585,19 @@ func (r *Router) AllocateVCs() {
 				// DESIGN.md for why the default reproduces the paper's
 				// results and stickiness does not.
 				if r.wantEvents && !r.inRouted[requester] {
-					r.cfg.Metrics.OnRoute(r.now, r.cfg.NodeID, f.Packet, topo.Direction(p))
+					r.cfg.Metrics.OnRoute(r.now, r.cfg.NodeID, r.inPkt[requester], topo.Direction(p))
 				}
 				reqs := r.inReqs[requester][:0]
-				if f.Packet.Dest == r.cfg.NodeID {
+				if dest == r.cfg.NodeID {
 					// Ejection: request every local-port VC obliviously.
 					for ev := 0; ev < r.vcs; ev++ {
-						reqs = append(reqs, routing.Request{Dir: topo.Local, VC: ev, Pri: alloc.Low})
+						reqs = append(reqs, routing.Request{Dir: topo.Local, Pri: alloc.Low, VC: ev})
 					}
 					r.reqPort[requester] = topo.Local
 				} else {
 					// Only Dest and InDir vary per call; the rest of the
 					// context was bound at construction.
-					r.routeCtx.Dest = f.Packet.Dest
+					r.routeCtx.Dest = dest
 					r.routeCtx.InDir = topo.Direction(p)
 					if r.cfg.Cache != nil {
 						reqs = r.cfg.Cache.Requests(r.cfg.Alg, &r.routeCtx, reqs)
@@ -618,20 +610,19 @@ func (r *Router) AllocateVCs() {
 						r.reqPort[requester] = reqs[0].Dir
 					}
 					if r.wantDecisions && !r.inRouted[requester] {
-						r.emitDecision(topo.Direction(p), f.Packet.Dest, reqs, f.Packet)
+						r.emitDecision(topo.Direction(p), dest, reqs, r.inPkt[requester])
 					}
 				}
 				r.inReqs[requester] = reqs
 				r.inRouted[requester] = true
 			}
 			for _, rq := range r.inReqs[requester] {
-				res := r.resIndex(rq.Dir, rq.VC)
-				if r.outAlloc[res] || r.outAwaitTail[res] {
+				if r.allocMask[rq.Dir]&(uint32(1)<<uint(rq.VC)) == 0 {
 					continue // not allocatable this cycle
 				}
 				r.vaReqs = append(r.vaReqs, alloc.VCRequest{
 					Requester: requester,
-					Resource:  res,
+					Resource:  r.resIndex(rq.Dir, rq.VC),
 					Pri:       rq.Pri,
 				})
 			}
@@ -650,7 +641,7 @@ func (r *Router) AllocateVCs() {
 		r.routingTotal--
 		r.activeMask[g.Requester/r.vcs] |= inBit
 		r.activeTotal++
-		dest := r.bufFront(g.Requester).Packet.Dest
+		dest := int(r.inDest[g.Requester])
 		var class VCClass
 		if r.wantEvents {
 			// Classify against the pre-grant state: the assignments below
@@ -662,7 +653,7 @@ func (r *Router) AllocateVCs() {
 		r.setOwner(g.Resource, dest)
 		r.setRegOwner(g.Resource, dest)
 		if r.wantEvents {
-			r.cfg.Metrics.OnVCAllocGrant(r.now, r.cfg.NodeID, r.bufFront(g.Requester).Packet,
+			r.cfg.Metrics.OnVCAllocGrant(r.now, r.cfg.NodeID, r.inPkt[g.Requester],
 				od, ovc, class, r.inBlocked[g.Requester])
 		}
 	}
@@ -677,8 +668,8 @@ func (r *Router) AllocateVCs() {
 			r.vcAllocFails++
 			if r.cfg.Metrics != nil {
 				out := r.reqPort[requester]
-				fp, busy := r.portOccupancy(out, r.bufFront(requester).Packet.Dest)
-				r.cfg.Metrics.OnVCAllocFailure(r.now, r.cfg.NodeID, r.bufFront(requester).Packet,
+				fp, busy := r.portOccupancy(out, int(r.inDest[requester]))
+				r.cfg.Metrics.OnVCAllocFailure(r.now, r.cfg.NodeID, r.inPkt[requester],
 					out, fp, busy, r.inBlocked[requester])
 			}
 		}
@@ -688,14 +679,10 @@ func (r *Router) AllocateVCs() {
 // portOccupancy counts footprint and busy adaptive VCs of port d with
 // respect to dest.
 func (r *Router) portOccupancy(d topo.Direction, dest int) (fp, busy int) {
-	lo := 0
-	if r.cfg.Alg.UsesEscape() {
-		lo = 1
-	}
 	// An owned VC is never idle, so the footprint VCs are a subset of the
 	// busy ones and both counts come from the aggregates.
-	busy = (r.vcs - lo) - r.IdleCount(d, lo)
-	fp = r.FootprintCount(d, dest, lo)
+	busy = (r.vcs - r.lo) - r.IdleCount(d, r.lo)
+	fp = r.FootprintCount(d, dest, r.lo)
 	return fp, busy
 }
 
@@ -864,6 +851,8 @@ func (r *Router) traverse(p, v int) {
 			r.inState[i] = vcRouting
 			r.inRouted[i] = false
 			r.inBlocked[i] = 0
+			r.inDest[i] = int32(nf.Packet.Dest)
+			r.inPkt[i] = nf.Packet
 			r.routingMask[p] |= inBit
 			r.routingTotal++
 		}

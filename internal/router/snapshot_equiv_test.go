@@ -17,7 +17,7 @@ import (
 // aggregate accessors (including the bitmask fast paths) that analyzers
 // and routing algorithms read live. The allocation overhaul flattened
 // per-VC state into parallel arrays indexed by (port, vc) and layered
-// incremental aggregates (idle bitmask, footprint owner counts) on top;
+// incremental aggregates (idle bitmask, footprint owner masks) on top;
 // every exported field below reads a different slice of that layout, so
 // any indexing slip or stale aggregate shows up as a disagreement between
 // two views of the same VC.
@@ -28,18 +28,7 @@ import (
 // owners, so the comparison covers the populated states, not just the
 // all-idle reset fabric.
 func TestSnapshotMatchesSoAState(t *testing.T) {
-	cfg := sim.DefaultConfig()
-	cfg.Width, cfg.Height = 2, 2
-	cfg.VCs = 2
-	cfg.WarmupCycles = 100
-	cfg.MeasureCycles = 200
-	cfg.DrainCycles = 400
-	cfg.SlowEndpoints = map[int]int{3: 1 << 30} // consumes only at cycle 0
-	gen := &traffic.Generator{
-		Nodes:   []int{0, 1, 2},
-		Pattern: traffic.Permutation{Label: "wedge", Flows: map[int]int{0: 3, 1: 3, 2: 3}},
-		Rate:    1,
-	}
+	cfg, gen := wedgeFixture()
 	s := sim.MustNew(cfg, gen)
 	res := s.Run()
 	if res.Stable {
@@ -150,6 +139,26 @@ func TestSnapshotMatchesSoAState(t *testing.T) {
 	if !populated {
 		t.Error("no VC left idle state; the wedged fixture regressed and the test lost its coverage")
 	}
+}
+
+// wedgeFixture is a 2×2 fabric that wedges: every node floods node 3,
+// whose endpoint consumes only at cycle 0. It freezes mid-flight with
+// buffered flits, blocked routing VCs, allocated output VCs and live
+// footprint owners.
+func wedgeFixture() (sim.Config, *traffic.Generator) {
+	cfg := sim.DefaultConfig()
+	cfg.Width, cfg.Height = 2, 2
+	cfg.VCs = 2
+	cfg.WarmupCycles = 100
+	cfg.MeasureCycles = 200
+	cfg.DrainCycles = 400
+	cfg.SlowEndpoints = map[int]int{3: 1 << 30} // consumes only at cycle 0
+	gen := &traffic.Generator{
+		Nodes:   []int{0, 1, 2},
+		Pattern: traffic.Permutation{Label: "wedge", Flows: map[int]int{0: 3, 1: 3, 2: 3}},
+		Rate:    1,
+	}
+	return cfg, gen
 }
 
 func b2i(b bool) int {

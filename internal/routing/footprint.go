@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"math/bits"
 
 	"nocsim/internal/alloc"
@@ -87,33 +88,36 @@ func (f *Footprint) Route(ctx *Context, reqs []Request) []Request {
 	m, v := ctx.Mesh, ctx.View
 	nVCs := v.VCs()
 
-	// STEP 1: legal output ports and VC classification.
-	dx, hasX, dy, hasY := m.MinimalDirs(ctx.Cur, ctx.Dest)
-	esc := dorDir(m, ctx.Cur, ctx.Dest)
+	// Views exposing per-port bitmasks (the router's SoA state does) answer
+	// the idle/footprint counts and the per-VC classification of step 3
+	// from maintained masks instead of interface calls per VC; the scalar
+	// fallback is identical and the property tests cross-check the two
+	// paths.
+	bv, fast := v.(BitsView)
 
-	var d topo.Direction
-	switch {
-	case hasX && hasY:
-		// STEP 2: the port with more idle VCs wins; ties fall to the
-		// port with more footprint VCs; remaining ties break randomly.
-		ix, iy := countIdle(v, dx, 1), countIdle(v, dy, 1)
-		fx, fy := countFootprint(v, dx, ctx.Dest, 1), countFootprint(v, dy, ctx.Dest, 1)
-		d = selectByCounts(ctx, dx, dy, ix, iy, fx, fy)
-	case hasX:
-		d = dx
-	default:
-		d = dy
+	// STEP 1: legal output ports and VC classification. The
+	// dimension-order port, X first, doubles as the escape port.
+	dx, hasX, dy, hasY := m.MinimalDirs(ctx.Cur, ctx.Dest)
+	esc := dy
+	if hasX {
+		esc = dx
+	} else if !hasY {
+		panic(fmt.Sprintf("routing: footprint Route(%d, %d) at destination", ctx.Cur, ctx.Dest))
+	}
+
+	// STEP 2: the port with more idle VCs wins; ties fall to the port
+	// with more footprint VCs; remaining ties break randomly. The chosen
+	// port's counts carry into step 3.
+	d := esc
+	idle, fp := portCounts(v, bv, fast, d, ctx.Dest)
+	if hasX && hasY {
+		iy, fy := portCounts(v, bv, fast, dy, ctx.Dest)
+		if selectByCounts(ctx, dx, dy, idle, iy, fp, fy) == dy {
+			d, idle, fp = dy, iy, fy
+		}
 	}
 
 	// STEP 3: VC requests by congestion state of the chosen port.
-	idle := countIdle(v, d, 1)
-	fp := countFootprint(v, d, ctx.Dest, 1)
-
-	// Views exposing per-port bitmasks (the router's SoA state does) let
-	// the per-VC classification below read three masks instead of making
-	// three interface calls per VC; the scalar fallback is identical and
-	// the property tests cross-check the two paths.
-	bv, fast := v.(BitsView)
 
 	// Future-work extension: once the destination owns MaxFootprintVCs
 	// VCs of the port, confine its packets to them regardless of load,
@@ -187,6 +191,14 @@ func (f *Footprint) Route(ctx *Context, reqs []Request) []Request {
 	// The escape channel is always requested at the lowest priority.
 	reqs = append(reqs, Request{Dir: esc, VC: 0, Pri: alloc.Lowest})
 	return reqs
+}
+
+// portCounts returns the idle and dest-owned adaptive VCs of port d.
+func portCounts(v View, bv BitsView, fast bool, d topo.Direction, dest int) (idle, fp int) {
+	if fast {
+		return bv.IdleCount(d, 1), bv.FootprintCount(d, dest, 1)
+	}
+	return countIdle(v, d, 1), countFootprint(v, d, dest, 1)
 }
 
 // appendFootprintVCs requests every adaptive VC of port d owned by dest at

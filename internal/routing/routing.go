@@ -66,10 +66,12 @@ type Context struct {
 }
 
 // Request asks for virtual channel VC of output port Dir at priority Pri.
+// The two one-byte fields lead so the struct is 16 bytes: routers keep a
+// request list per input VC and re-walk it every cycle a packet waits.
 type Request struct {
 	Dir topo.Direction
-	VC  int
 	Pri alloc.Priority
+	VC  int
 }
 
 // Algorithm computes VC requests for the head flit of a packet.
@@ -101,7 +103,7 @@ func adaptiveVCRange(usesEscape bool) (lo int) {
 
 // AggregateView is an optional View extension for views that maintain
 // O(1) per-port aggregates (the router's struct-of-arrays state does, by
-// updating a per-port idle bitmask and per-destination owner counts on
+// updating a per-port idle bitmask and per-destination owner masks on
 // every state transition). The counting helpers prefer it over scanning
 // VC by VC, because routes are re-evaluated every cycle a packet waits
 // and the scans dominated the cycle loop.

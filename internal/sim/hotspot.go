@@ -41,8 +41,26 @@ func HotspotCurveJobs(cfg Config, bgRate float64, hotspotRates []float64, jobs i
 // over uniform background traffic at bgRate. Experiment harnesses that
 // flatten whole (algorithm × rate) grids call it directly.
 func HotspotRun(cfg Config, bgRate, rate float64) (HotspotPoint, error) {
+	s, err := NewHotspot(cfg, bgRate, rate)
+	if err != nil {
+		return HotspotPoint{}, err
+	}
+	res := s.Run()
+	return HotspotPoint{
+		Rate:              rate,
+		BackgroundLatency: res.AvgLatency(flit.ClassBackground),
+		BackgroundP99:     res.P99,
+		Stable:            res.Stable,
+		Result:            res,
+	}, nil
+}
+
+// NewHotspot assembles, without running, the simulation HotspotRun runs
+// for one rate point. Tests and benchmarks that need a saturated fabric
+// step it cycle by cycle.
+func NewHotspot(cfg Config, bgRate, rate float64) (*Simulation, error) {
 	if cfg.Width != 8 || cfg.Height != 8 {
-		return HotspotPoint{}, fmt.Errorf("sim: Table 3 hotspot flows require an 8x8 mesh, have %dx%d", cfg.Width, cfg.Height)
+		return nil, fmt.Errorf("sim: Table 3 hotspot flows require an 8x8 mesh, have %dx%d", cfg.Width, cfg.Height)
 	}
 	base := cfg.RunLabel
 	if base == "" {
@@ -76,18 +94,7 @@ func HotspotRun(cfg Config, bgRate, rate float64) (HotspotPoint, error) {
 		Rate:    bgRate,
 		Class:   flit.ClassBackground,
 	}
-	s, err := New(cfg, hot, bg)
-	if err != nil {
-		return HotspotPoint{}, err
-	}
-	res := s.Run()
-	return HotspotPoint{
-		Rate:              rate,
-		BackgroundLatency: res.AvgLatency(flit.ClassBackground),
-		BackgroundP99:     res.P99,
-		Stable:            res.Stable,
-		Result:            res,
-	}, nil
+	return New(cfg, hot, bg)
 }
 
 // HotspotSaturation returns the lowest tested hotspot rate at which the

@@ -8,8 +8,9 @@ package topo
 import "fmt"
 
 // Direction identifies a router port. The four cardinal directions connect
-// to neighbouring routers; Local connects to the endpoint (NIC).
-type Direction int
+// to neighbouring routers; Local connects to the endpoint (NIC). One byte,
+// so per-VC port arrays and routing requests stay compact.
+type Direction uint8
 
 // Router port directions.
 const (
